@@ -1,16 +1,16 @@
-//! Cold-start bench: open-to-first-extraction latency of the v4 sharded
-//! artifact (deserialize + rebuild every index) against the v5 frozen
-//! artifact (mmap + checksum + adopt the prebuilt arenas), plus the
-//! resident-set delta each load leaves behind.
+//! Cold-start bench: time to first extraction when the engine is built from
+//! its source (derive every variant and build every index, what a start
+//! without an artifact costs) against opening the v5 frozen artifact (mmap,
+//! checksum, adopt the prebuilt arenas), plus the resident-set delta each
+//! start leaves behind.
 //!
 //! Besides the criterion group, medians are written to
 //! `BENCH_coldstart.json` in the workspace target directory; CI gates on
-//! `speedup >= 10`. Setting `AEETES_BENCH_QUICK=1` skips the criterion
+//! `speedup >= 15`. Setting `AEETES_BENCH_QUICK=1` skips the criterion
 //! groups and runs a reduced wall-clock pass (the CI smoke mode).
 
 use aeetes_bench::BENCH_SEED;
-use aeetes_core::{load_sharded, open_frozen, ExtractBackend};
-use aeetes_core::{save_sharded, AeetesConfig};
+use aeetes_core::{open_frozen, AeetesConfig, ExtractBackend};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_shard::ShardedEngine;
 use aeetes_text::Document;
@@ -63,13 +63,10 @@ fn tmp(tag: &str) -> PathBuf {
 fn bench(c: &mut Criterion) {
     let quick = std::env::var("AEETES_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
     let data = generate(&DatasetProfile::pubmed_like().scaled(COLDSTART_SCALE), BENCH_SEED);
-    let engine = ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), SHARDS);
+    let build = || ShardedEngine::build(data.dictionary.clone(), &data.rules, &data.interner, AeetesConfig::default(), SHARDS);
 
-    let v4_path = tmp("v4");
     let v5_path = tmp("v5");
-    let v4_bytes = save_sharded(&engine.to_parts());
-    let v5_bytes = engine.freeze();
-    std::fs::write(&v4_path, &v4_bytes).expect("write v4 artifact");
+    let v5_bytes = build().freeze();
     std::fs::write(&v5_path, &v5_bytes).expect("write v5 artifact");
 
     // A short document drives the first extraction (a first request is a
@@ -79,11 +76,6 @@ fn bench(c: &mut Criterion) {
     let first_doc = &data.documents[0].tokens()[..64.min(data.documents[0].tokens().len())];
     let doc_text = data.interner.render(first_doc);
 
-    let open_v4 = |path: &PathBuf| {
-        let bytes = std::fs::read(path).expect("read v4");
-        let parts = load_sharded(&bytes).expect("parse v4");
-        ShardedEngine::from_parts(parts, None).expect("rebuild v4")
-    };
     let open_v5 = |path: &PathBuf| {
         let parts = open_frozen(path).expect("open v5");
         ShardedEngine::from_frozen(parts, None).expect("adopt v5")
@@ -97,26 +89,26 @@ fn bench(c: &mut Criterion) {
     };
 
     // Resident-set deltas, best effort: v5 first so the allocator's
-    // high-water mark from the v4 rebuild can't mask the mmap savings.
+    // high-water mark from the build can't mask the mmap savings.
     let rss0 = resident_kb();
     let mapped = open_v5(&v5_path);
     black_box(first_extract(&mapped));
     let v5_rss_delta_kb = resident_kb().saturating_sub(rss0);
     drop(mapped);
     let rss1 = resident_kb();
-    let loaded = open_v4(&v4_path);
-    black_box(first_extract(&loaded));
-    let v4_rss_delta_kb = resident_kb().saturating_sub(rss1);
-    drop(loaded);
+    let built = build();
+    black_box(first_extract(&built));
+    let build_rss_delta_kb = resident_kb().saturating_sub(rss1);
+    drop(built);
 
     if !quick {
         let mut g = c.benchmark_group("coldstart");
         g.sample_size(10);
         g.warm_up_time(std::time::Duration::from_millis(300));
         g.measurement_time(std::time::Duration::from_millis(1500));
-        g.bench_function("v4_load_to_first_extract", |b| {
+        g.bench_function("build_to_first_extract", |b| {
             b.iter(|| {
-                let e = open_v4(&v4_path);
+                let e = build();
                 black_box(first_extract(&e))
             });
         });
@@ -130,8 +122,8 @@ fn bench(c: &mut Criterion) {
     }
 
     let runs = if quick { 5 } else { 9 };
-    let v4_open_s = time_median(runs, || {
-        let e = open_v4(&v4_path);
+    let build_s = time_median(runs, || {
+        let e = build();
         let m = black_box(first_extract(&e));
         (e, m)
     });
@@ -140,7 +132,7 @@ fn bench(c: &mut Criterion) {
         let m = black_box(first_extract(&e));
         (e, m)
     });
-    let speedup = v4_open_s / v5_open_s;
+    let speedup = build_s / v5_open_s;
 
     let report = format!(
         concat!(
@@ -149,24 +141,22 @@ fn bench(c: &mut Criterion) {
             "  \"dataset\": \"{}\",\n",
             "  \"shards\": {},\n",
             "  \"tau\": {},\n",
-            "  \"v4_artifact_bytes\": {},\n",
             "  \"v5_artifact_bytes\": {},\n",
-            "  \"v4_open_to_first_extract_s\": {:.6},\n",
+            "  \"build_to_first_extract_s\": {:.6},\n",
             "  \"v5_open_to_first_extract_s\": {:.6},\n",
             "  \"speedup\": {:.2},\n",
-            "  \"v4_rss_delta_kb\": {},\n",
+            "  \"build_rss_delta_kb\": {},\n",
             "  \"v5_rss_delta_kb\": {}\n",
             "}}\n"
         ),
         data.name,
         SHARDS,
         TAU,
-        v4_bytes.len(),
         v5_bytes.len(),
-        v4_open_s,
+        build_s,
         v5_open_s,
         speedup,
-        v4_rss_delta_kb,
+        build_rss_delta_kb,
         v5_rss_delta_kb,
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_coldstart.json");
@@ -174,9 +164,8 @@ fn bench(c: &mut Criterion) {
         Ok(()) => eprintln!("wrote {}", out.display()),
         Err(e) => eprintln!("could not write {}: {e}", out.display()),
     }
-    eprintln!("coldstart: v4 {v4_open_s:.4}s, v5 {v5_open_s:.4}s ({speedup:.1}x)");
+    eprintln!("coldstart: build {build_s:.4}s, v5 {v5_open_s:.4}s ({speedup:.1}x)");
 
-    std::fs::remove_file(&v4_path).ok();
     std::fs::remove_file(&v5_path).ok();
 }
 

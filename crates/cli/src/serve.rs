@@ -122,8 +122,7 @@ struct ServeMetrics {
     /// Per-stage duration histograms + extraction work counters.
     extract: ExtractMetrics,
     /// `aeetes_request_duration_seconds`: end-to-end served-extract latency
-    /// (replaces the old `LatencyRing`; the stats reply quantiles come from
-    /// its merged buckets).
+    /// (the stats reply quantiles come from its merged buckets).
     request_duration: Arc<Histogram>,
     served: Arc<Counter>,
     shed: Arc<Counter>,

@@ -318,7 +318,7 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string()])).expect("dict info succeeds");
     commands::dict_cmd(&argv(&[s("info"), engine.display().to_string(), s("--json")])).expect("dict info --json succeeds");
 
-    // stats and extract auto-detect the frozen format.
+    // stats and extract open the same artifact.
     commands::stats(&argv(&[s("--engine"), engine.display().to_string()])).expect("stats over frozen succeeds");
     let code = commands::extract(&argv(&[
         s("--engine"),
@@ -361,13 +361,15 @@ fn frozen_build_info_extract_and_compaction_round_trip() {
 }
 
 #[test]
-fn serve_frozen_flag_rejects_legacy_artifacts() {
-    let dir = workdir("frozen-flag");
+fn legacy_artifacts_are_rejected_naming_their_version() {
+    let dir = workdir("legacy");
     let dict = dir.join("dict.txt");
     let rules = dir.join("rules.tsv");
+    let docs = dir.join("docs.txt");
     let engine = dir.join("engine.aeet");
     fs::write(&dict, "a b\n").unwrap();
     fs::write(&rules, "a\talpha\n").unwrap();
+    fs::write(&docs, "alpha b\n").unwrap();
     commands::build(&argv(&[
         s("--dict"),
         dict.display().to_string(),
@@ -377,9 +379,192 @@ fn serve_frozen_flag_rejects_legacy_artifacts() {
         engine.display().to_string(),
     ]))
     .unwrap();
-    assert_eq!(artifact_version(&engine), 2);
-    let err =
-        commands::serve_cmd(&argv(&[s("--engine"), engine.display().to_string(), s("--frozen")])).expect_err("--frozen must reject a v2 artifact");
-    assert!(err.contains("v5") && err.contains("v2"), "error names both versions: {err}");
+    let current = fs::read(&engine).unwrap();
+    let path = engine.display().to_string();
+    for version in 1u32..=4 {
+        // An older artifact keeps the `AEET` magic; only the version word
+        // tells it apart, and every command must name it in its error.
+        let mut bytes = current.clone();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        fs::write(&engine, &bytes).unwrap();
+        let named = format!("version {version}");
+        let errors = [
+            commands::stats(&argv(&[s("--engine"), path.clone()])).expect_err("stats refuses"),
+            commands::extract(&argv(&[s("--engine"), path.clone(), s("--docs"), docs.display().to_string()])).expect_err("extract refuses"),
+            // `--frozen` is still accepted (and ignored): the error is the
+            // version, not an unknown flag.
+            commands::serve_cmd(&argv(&[s("--engine"), path.clone(), s("--frozen")])).expect_err("serve refuses"),
+            commands::dict_cmd(&argv(&[s("info"), path.clone()])).expect_err("dict info refuses"),
+        ];
+        for err in errors {
+            assert!(err.contains(&named), "v{version}: error must name the version: {err}");
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs the `aeetes` binary, returning its stdout; a non-zero exit fails.
+fn run_aeetes(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aeetes")).args(args).output().expect("spawn aeetes");
+    assert!(out.status.success(), "aeetes {args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+const ORACLE_DICT: &str = "Purdue University USA\nUQ AU\nMIT\nUniversity of Wisconsin Madison\nRMIT AU\n";
+const ORACLE_RULES: &str = "UQ\tUniversity of Queensland\nAU\tAustralia\nUSA\tUnited States\t0.9\nUW\tUniversity of Wisconsin\n";
+const ORACLE_DOCS: &str = "\
+she visited purdue university united states then mit
+the university of queensland australia and rmit australia
+uw madison hosted university of wisconsin madison alumni
+nothing to see here
+";
+
+/// Builds the oracle corpus with `extra` flags into `dir/name`, returning
+/// the artifact path.
+fn build_oracle_artifact(dir: &std::path::Path, name: &str, extra: &[&str]) -> String {
+    let (dict, rules, out) = (dir.join("dict.txt"), dir.join("rules.tsv"), dir.join(name));
+    fs::write(&dict, ORACLE_DICT).unwrap();
+    fs::write(&rules, ORACLE_RULES).unwrap();
+    let (dict, rules, out) = (dict.display().to_string(), rules.display().to_string(), out.display().to_string());
+    let mut args = vec!["build", "--dict", &dict, "--rules", &rules, "--out", &out];
+    args.extend_from_slice(extra);
+    run_aeetes(&args);
+    out
+}
+
+/// The brute-force JaccAR oracle over the same files the CLI reads: every
+/// substring in the window bounds scored against every entity. Rows are
+/// `(doc, start, len, entity text, score to 4 places)`, sorted.
+fn oracle_matches(tau: f64) -> Vec<(usize, u32, u32, String, String)> {
+    use aeetes_rules::{DeriveConfig, DerivedDictionary, RuleSet};
+    use aeetes_sim::{sorted_set, JaccArVerifier};
+    use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
+    let tok = Tokenizer::default();
+    let mut int = Interner::new();
+    let mut dict = Dictionary::new();
+    for line in ORACLE_DICT.lines() {
+        dict.push(line, &tok, &mut int);
+    }
+    let mut rules = RuleSet::new();
+    for line in ORACLE_RULES.lines() {
+        let f: Vec<&str> = line.split('\t').collect();
+        let w = f.get(2).map_or(1.0, |w| w.parse().unwrap());
+        rules.push_weighted_str(f[0], f[1], w, &tok, &mut int).unwrap();
+    }
+    let dd = DerivedDictionary::build(&dict, &rules, &DeriveConfig::default());
+    let verifier = JaccArVerifier::new(&dd);
+    let lens: Vec<usize> = dd.iter().map(|(_, d)| sorted_set(d.tokens).len()).filter(|&l| l > 0).collect();
+    let w_lo = ((*lens.iter().min().unwrap() as f64 * tau + 1e-9).floor() as usize).max(1);
+    let w_hi = (*lens.iter().max().unwrap() as f64 / tau - 1e-9).ceil() as usize;
+    let mut out = Vec::new();
+    for (doc_id, text) in ORACLE_DOCS.lines().enumerate() {
+        let doc = Document::parse(text, &tok, &mut int);
+        let n = doc.len();
+        for p in 0..n {
+            for l in w_lo..=w_hi.min(n - p) {
+                let set = sorted_set(&doc.tokens()[p..p + l]);
+                for (e, ent) in dict.iter() {
+                    let score = verifier.verify(e, &set, 0.0).value;
+                    if score >= tau {
+                        out.push((doc_id, p as u32, l as u32, ent.raw.to_string(), format!("{score:.4}")));
+                    }
+                }
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Parses `extract --format tsv` rows into the oracle's row shape.
+fn extract_rows(stdout: &str) -> Vec<(usize, u32, u32, String, String)> {
+    let mut rows: Vec<_> = stdout
+        .lines()
+        .map(|line| {
+            let f: Vec<&str> = line.split('\t').collect();
+            (f[0].parse().unwrap(), f[1].parse().unwrap(), f[2].parse().unwrap(), f[4].to_string(), f[3].to_string())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn default_build_is_v5_and_serves_extract_and_stats_like_the_oracle() {
+    let dir = workdir("oracle");
+    let plain = build_oracle_artifact(&dir, "plain.aeet", &[]);
+    let frozen = build_oracle_artifact(&dir, "frozen.aeet", &["--frozen"]);
+    let plain_bytes = fs::read(&plain).unwrap();
+    assert_eq!(u32::from_le_bytes(plain_bytes[4..8].try_into().unwrap()), 5, "build with no flags writes v5");
+    assert_eq!(plain_bytes, fs::read(&frozen).unwrap(), "--frozen is accepted and changes nothing");
+
+    let docs = dir.join("docs.txt");
+    fs::write(&docs, ORACLE_DOCS).unwrap();
+    let docs = docs.display().to_string();
+    for tau in [0.7, 0.8, 1.0] {
+        let expected = oracle_matches(tau);
+        assert!(!expected.is_empty(), "tau={tau}: the corpus must produce matches");
+        let got = extract_rows(&run_aeetes(&["extract", "--engine", &plain, "--docs", &docs, "--tau", &tau.to_string()]));
+        assert_eq!(got, expected, "tau={tau}");
+    }
+
+    // stats reports the same engine a from-source build produces.
+    let reference = {
+        use aeetes_rules::RuleSet;
+        use aeetes_text::{Dictionary, Interner, Tokenizer};
+        let tok = Tokenizer::default();
+        let mut int = Interner::new();
+        let mut dict = Dictionary::new();
+        for line in ORACLE_DICT.lines() {
+            dict.push(line, &tok, &mut int);
+        }
+        let mut rules = RuleSet::new();
+        for line in ORACLE_RULES.lines() {
+            let f: Vec<&str> = line.split('\t').collect();
+            rules
+                .push_weighted_str(f[0], f[1], f.get(2).map_or(1.0, |w| w.parse().unwrap()), &tok, &mut int)
+                .unwrap();
+        }
+        aeetes_core::Aeetes::build(dict, &rules, &int, aeetes_core::AeetesConfig::default())
+    };
+    let stats = run_aeetes(&["stats", "--engine", &plain]);
+    let field = |name: &str| -> String {
+        let line = stats.lines().find(|l| l.starts_with(name)).unwrap_or_else(|| panic!("stats lacks {name}: {stats}"));
+        line[name.len()..].trim().to_string()
+    };
+    assert_eq!(field("entities"), reference.dictionary().len().to_string());
+    assert_eq!(field("derived variants"), reference.derived().len().to_string());
+    assert_eq!(field("index entries"), reference.index().total_entries().to_string());
+    assert_eq!(field("segments"), format!("1 [{}]", reference.derived().len()));
+    assert_eq!(field("persisted rules"), "4");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_segment_artifact_extracts_like_one_segment() {
+    let dir = workdir("segments");
+    let one = build_oracle_artifact(&dir, "one.aeet", &[]);
+    let two = build_oracle_artifact(&dir, "two.aeet", &["--shards", "2"]);
+    assert!(run_aeetes(&["stats", "--engine", &two])
+        .lines()
+        .any(|l| l.starts_with("segments") && l.contains(" 2 [")));
+    let docs = dir.join("docs.txt");
+    fs::write(&docs, ORACLE_DOCS).unwrap();
+    let docs = docs.display().to_string();
+    for extra in [
+        &["--tau", "0.7"][..],
+        &["--tau", "0.8", "--format", "jsonl"],
+        &["--tau", "0.7", "--top-k", "2"],
+        &["--tau", "0.7", "--best"],
+    ] {
+        let run = |engine: &str| {
+            let mut args = vec!["extract", "--engine", engine, "--docs", &docs];
+            args.extend_from_slice(extra);
+            run_aeetes(&args)
+        };
+        let expected = run(&one);
+        assert!(!expected.is_empty(), "{extra:?}: the corpus must produce matches");
+        assert_eq!(run(&two), expected, "{extra:?}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

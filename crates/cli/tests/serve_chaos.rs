@@ -373,7 +373,7 @@ fn reload_under_load_answers_every_request_once() {
     use std::sync::Arc;
 
     let engine = engine_file("reload");
-    // --shards 3 re-partitions the single-segment v2 artifact on load, so
+    // --shards 3 re-partitions the single-segment artifact on load, so
     // the swap exercises real multi-shard rebuilds.
     let server = Server::spawn(&engine, &["--shards", "3", "--workers", "4", "--queue", "256", "--drain", "15"]);
 

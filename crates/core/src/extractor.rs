@@ -37,11 +37,16 @@ impl Aeetes {
         Self { dict, dd, index, config }
     }
 
-    /// Assembles an engine from previously built parts (used when loading a
-    /// persisted engine); the clustered index is rebuilt from the derived
-    /// dictionary.
+    /// Assembles an engine from a derived dictionary, building its clustered
+    /// index (used when merging a multi-segment artifact into one engine).
     pub fn from_parts(dict: Dictionary, dd: DerivedDictionary, interner: &Interner, config: AeetesConfig) -> Self {
         let index = ClusteredIndex::build(&dd, interner);
+        Self { dict, dd, index, config }
+    }
+
+    /// Assembles an engine around an index already built over `dd` (an
+    /// opened artifact's), without rebuilding it.
+    pub(crate) fn from_prebuilt(dict: Dictionary, dd: DerivedDictionary, index: ClusteredIndex, config: AeetesConfig) -> Self {
         Self { dict, dd, index, config }
     }
 

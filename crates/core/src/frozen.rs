@@ -1,23 +1,21 @@
-//! Frozen AEET v5: a flat, mmap-able immutable engine image.
+//! Frozen AEET v5: a flat, mmap-able immutable engine image, and the only
+//! artifact format written or read.
 //!
-//! Formats v1–v4 ([`crate::persist`]) deserialize the artifact into heap
-//! structures and then *rebuild the clustered index from scratch* — cheap to
-//! encode, but an engine restart pays seconds of CPU and every serve process
-//! holds its own copy of the index. The v5 layout trades encoder simplicity
-//! for zero-copy starts: every large structure (interner string table,
-//! global order, derived dictionary, clustered index) is laid out as flat
-//! little-endian arrays at 16-byte-aligned offsets, so an engine can
-//! `mmap` the file, validate it, and serve its first request in
-//! milliseconds — and N serve processes on one host share a single page
-//! cache image instead of N private heaps.
+//! The artifact carries the *built* engine, not the source to rebuild it
+//! from: every large structure (interner string table, global order,
+//! derived dictionary, clustered index) is laid out as flat little-endian
+//! arrays at 16-byte-aligned offsets, so an engine can `mmap` the file,
+//! validate it, and serve its first request in milliseconds — and N serve
+//! processes on one host share a single page cache image instead of N
+//! private heaps. Files stamped with an older version (1–4) are refused
+//! with [`PersistError::UnsupportedVersion`].
 //!
 //! ## Layout
 //!
 //! ```text
 //! [ 0.. 4)  magic "AEET"
 //! [ 4.. 8)  version u32 = 5
-//! [ 8..16)  generation u64            (same offset as v4's, so
-//!                                      `peek_generation` is format-blind)
+//! [ 8..16)  generation u64
 //! [16..20)  section count S (u32)
 //! [20..24)  reserved (0)
 //! [24..24+S·24)  section table: per section
@@ -53,8 +51,9 @@
 //! are bit-identical either way; only residency behavior differs.
 
 use crate::config::AeetesConfig;
+use crate::extractor::Aeetes;
 use crate::failpoint;
-use crate::persist::{self, crc32, PersistError, Reader};
+use crate::persist::{self, crc32, PersistError, Reader, ShardedParts};
 use aeetes_frozen::{FrozenBuf, FrozenSlice, Pod};
 use aeetes_index::{ClusteredIndex, GlobalOrder, IndexArenas};
 use aeetes_rules::{DeriveStats, DerivedDictionary, DerivedId, RuleId, RuleSet};
@@ -241,6 +240,23 @@ pub struct FrozenParts {
     pub mmapped: bool,
 }
 
+impl FrozenParts {
+    /// Turns the artifact into one monolithic engine. With one segment the
+    /// frozen derived dictionary and index are adopted as they are — no
+    /// derive or index work, arenas still backed by the file image. Several
+    /// segments are merged and re-indexed through
+    /// [`ShardedParts::into_single`].
+    pub fn into_single(self) -> Result<(Aeetes, Interner), PersistError> {
+        let FrozenParts { interner, dict, removed, rules, config, generation, mut segments, .. } = self;
+        if segments.len() == 1 {
+            let FrozenSegmentParts { dd, index } = segments.pop().expect("one segment");
+            return Ok((Aeetes::from_prebuilt(dict, dd, index, config), interner));
+        }
+        let segments = segments.into_iter().map(|s| s.dd).collect();
+        ShardedParts { interner, dict, removed, rules, config, segments, generation }.into_single()
+    }
+}
+
 // ---------------------------------------------------------------- writer --
 
 struct SectionWriter {
@@ -336,11 +352,10 @@ pub fn freeze_to_bytes(src: &FreezeSource<'_>) -> Vec<u8> {
             w.push_u32s(SEC_DD_RULES, s, rules.iter().map(|r| r.0));
             w.push_u32s(SEC_DD_RULEOFF, s, rule_off.iter().copied());
         } else {
-            // Engines loaded from v2 artifacts carry rule provenance ids
-            // without a rule table (v2 never persisted one). A frozen
-            // artifact must be self-consistent — the opener rejects
-            // dangling cross-references — so unresolvable ids are dropped
-            // here. They were already unresolvable in memory.
+            // A monolithic engine saved by `save_engine` carries rule
+            // provenance ids but no rule table. A frozen artifact must be
+            // self-consistent — the opener rejects dangling
+            // cross-references — so unresolvable ids are dropped here.
             let mut kept: Vec<u32> = Vec::with_capacity(rules.len());
             let mut offs: Vec<u32> = Vec::with_capacity(rule_off.len());
             offs.push(0);
@@ -421,19 +436,23 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
     PersistError::Corrupt(msg.into())
 }
 
-/// Parses and bounds-checks the header and section table of `bytes`
-/// (which must already be CRC-verified). Rejects out-of-bounds, overlappingly
-/// duplicated, or misaligned sections and missing kinds.
-fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != persist::MAGIC {
+/// Consumes and checks the magic and version words.
+fn check_header(r: &mut Reader<'_>) -> Result<(), PersistError> {
+    if r.take(4, "magic")? != persist::MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = r.u32("version")?;
-    if version != persist::VERSION_FROZEN {
-        return Err(PersistError::UnsupportedVersion(version));
+    match r.u32("version")? {
+        persist::VERSION_FROZEN => Ok(()),
+        other => Err(PersistError::UnsupportedVersion(other)),
     }
+}
+
+/// Parses and bounds-checks the header and section table of `bytes`
+/// (whose magic and version [`check_header`] has already accepted).
+/// Rejects out-of-bounds, overlappingly duplicated, or misaligned sections
+/// and missing kinds.
+fn parse_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
+    let mut r = Reader { buf: &bytes[8..] };
     let generation = r.u64("generation")?;
     if generation == 0 {
         return Err(corrupt("generation 0 is invalid (generations start at 1)"));
@@ -538,6 +557,9 @@ fn open_frozen_buf(buf: Arc<FrozenBuf>) -> Result<FrozenParts, PersistError> {
         return Err(corrupt("frozen v5 artifacts require a little-endian host"));
     }
     let bytes = buf.as_bytes();
+    // The version word is read before the checksum so that an artifact of
+    // an older format is refused by name rather than as corruption.
+    check_header(&mut Reader { buf: bytes })?;
     if bytes.len() < HEADER_FIXED + 4 {
         return Err(PersistError::Truncated("frozen header"));
     }
@@ -747,25 +769,25 @@ fn open_segment(
 /// validating) the body. See [`peek_info`].
 #[derive(Debug, Clone)]
 pub struct ArtifactInfo {
-    /// Format version (1–5).
+    /// Format version (always 5: no other version is read).
     pub version: u32,
-    /// Generation number (1 for pre-v4 artifacts).
+    /// Generation number.
     pub generation: u64,
     /// Origin entity count.
     pub entities: usize,
-    /// Synonym rule count (0 for v1/v2, which don't persist rules).
+    /// Synonym rule count.
     pub rules: usize,
     /// Interned token count.
     pub tokens: usize,
-    /// Shard segment count (1 for v1/v2).
+    /// Shard segment count.
     pub segments: usize,
     /// Total artifact size in bytes.
     pub file_len: usize,
-    /// Per-section sizes (v5 only; empty for older formats).
+    /// Per-section sizes.
     pub sections: Vec<SectionInfo>,
 }
 
-/// One v5 section's identity and size.
+/// One section's identity and size.
 #[derive(Debug, Clone)]
 pub struct SectionInfo {
     /// Section kind name (see [`section_kind_name`]).
@@ -777,25 +799,11 @@ pub struct SectionInfo {
 }
 
 /// Reads an artifact's headline facts — version, generation, entity/rule/
-/// token counts, section sizes — without building an engine: v5 artifacts
-/// are answered from the header, section table and the META counts; v1–v4
-/// artifacts are skip-scanned (lengths walked, nothing decoded). No CRC is
-/// verified — this is a diagnostic peek, not a load.
+/// token counts, section sizes — from the header, section table and the
+/// META counts, without building an engine. No CRC is verified — this is a
+/// diagnostic peek, not a load.
 pub fn peek_info(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
-    let mut r = Reader { buf: bytes };
-    let magic = r.take(4, "magic")?;
-    if magic != persist::MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    match version {
-        persist::VERSION_FROZEN => peek_info_v5(bytes),
-        1..=4 => peek_info_legacy(bytes, version),
-        other => Err(PersistError::UnsupportedVersion(other)),
-    }
-}
-
-fn peek_info_v5(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
+    check_header(&mut Reader { buf: bytes })?;
     if bytes.len() < HEADER_FIXED + 4 {
         return Err(PersistError::Truncated("frozen header"));
     }
@@ -825,54 +833,6 @@ fn peek_info_v5(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
         segments: table.segments,
         file_len: bytes.len(),
         sections,
-    })
-}
-
-/// Skip-scans a v1–v4 artifact: every variable-length field is walked by
-/// its length prefix; strings, variants and segments are never decoded.
-fn peek_info_legacy(bytes: &[u8], version: u32) -> Result<ArtifactInfo, PersistError> {
-    let mut r = Reader { buf: &bytes[8..] };
-    let generation = if version >= 4 { r.u64("generation")? } else { 1 };
-    let tokens = r.u32("interner size")? as usize;
-    r.check_count(tokens, 4, "interner size")?;
-    for _ in 0..tokens {
-        let n = r.u32("interner string")? as usize;
-        r.take(n, "interner string")?;
-    }
-    let entities = r.u32("dictionary size")? as usize;
-    r.check_count(entities, 8, "dictionary size")?;
-    for _ in 0..entities {
-        let n = r.u32("entity raw")? as usize;
-        r.take(n, "entity raw")?;
-        let t = r.u32("entity tokens")? as usize;
-        r.take(t.checked_mul(4).ok_or(PersistError::Truncated("entity tokens"))?, "entity tokens")?;
-    }
-    let (rules, segments) = if version >= 3 {
-        let n_removed = r.u32("removed size")? as usize;
-        r.take(n_removed.checked_mul(4).ok_or(PersistError::Truncated("removed ids"))?, "removed ids")?;
-        let n_rules = r.u32("rules size")? as usize;
-        r.check_count(n_rules, 16, "rules size")?;
-        for _ in 0..n_rules {
-            for side in ["rule lhs", "rule rhs"] {
-                let n = r.u32(side)? as usize;
-                r.take(n.checked_mul(4).ok_or(PersistError::Truncated("rule side"))?, side)?;
-            }
-            r.take(8, "rule weight")?;
-        }
-        r.take(10, "config")?; // u8 strategy + u8 metric + u64 max_derived
-        (n_rules, r.u32("segment count")? as usize)
-    } else {
-        (0, 1)
-    };
-    Ok(ArtifactInfo {
-        version,
-        generation,
-        entities,
-        rules,
-        tokens,
-        segments,
-        file_len: bytes.len(),
-        sections: Vec::new(),
     })
 }
 
@@ -1047,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_info_reports_v5_and_legacy() {
+    fn peek_info_reports_header_facts() {
         let (engine, int, _, rules) = sample();
         let v5 = freeze_sample(&engine, &int, &rules, 9);
         let info = peek_info(&v5).expect("peek v5");
@@ -1061,29 +1021,66 @@ mod tests {
         assert!(!info.sections.is_empty());
         assert!(info.sections.iter().any(|s| s.kind == "ix.entries"));
 
-        let v2 = crate::save_engine(&engine, &int);
-        let info = peek_info(&v2).expect("peek v2");
-        assert_eq!(info.version, 2);
-        assert_eq!(info.generation, 1);
-        assert_eq!(info.entities, 3);
-        assert_eq!(info.rules, 0, "v2 doesn't persist rules");
-        assert_eq!(info.tokens, int.len());
-        assert_eq!(info.segments, 1);
-        assert!(info.sections.is_empty());
+        let saved = crate::save_engine(&engine, &int);
+        let info = peek_info(&saved).expect("peek save_engine output");
+        assert_eq!((info.version, info.generation, info.entities, info.rules, info.segments), (5, 1, 3, 0, 1));
+
+        let mut legacy = saved;
+        legacy[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(peek_info(&legacy), Err(PersistError::UnsupportedVersion(2))));
     }
 
     #[test]
-    fn peek_generation_reads_v5_header() {
+    fn zero_generation_rejected() {
         let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 42);
-        assert_eq!(crate::peek_generation(&bytes).unwrap(), 42);
+        let bytes = freeze_sample(&engine, &int, &rules, 0);
+        assert!(matches!(open_frozen_bytes(&bytes), Err(PersistError::Corrupt(_))));
     }
 
     #[test]
-    fn load_sharded_rejects_v5() {
-        let (engine, int, _, rules) = sample();
-        let bytes = freeze_sample(&engine, &int, &rules, 1);
-        assert!(matches!(crate::load_sharded(&bytes), Err(PersistError::UnsupportedVersion(5))));
+    fn one_segment_into_single_adopts_the_frozen_index() {
+        let (engine, mut int, tok, rules) = sample();
+        let parts = open_frozen_bytes(&freeze_sample(&engine, &int, &rules, 1)).expect("open");
+        let (single, mut single_int) = parts.into_single().expect("adopt");
+        assert!(single.index().is_frozen(), "one segment is adopted, not rebuilt");
+        assert!(single.derived().is_frozen());
+        let text = "she left UQ Australia for Purdue University United States";
+        let doc_a = Document::parse(text, &tok, &mut int);
+        let doc_b = Document::parse(text, &tok, &mut single_int);
+        for tau in [0.6, 0.8, 1.0] {
+            assert_eq!(single.extract(&doc_b, tau), engine.extract(&doc_a, tau), "tau={tau}");
+        }
+    }
+
+    #[test]
+    fn two_segment_into_single_merges_and_reindexes() {
+        let (engine, mut int, tok, rules) = sample();
+        let dict = engine.dictionary();
+        let config = engine.config();
+        let even = DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == 0);
+        let odd = DerivedDictionary::build_filtered(dict, &rules, &config.derive, |e| e.0 % 2 == 1);
+        let order = engine.index().shared_order();
+        let ix_even = ClusteredIndex::build_with_order(&even, Arc::clone(&order));
+        let ix_odd = ClusteredIndex::build_with_order(&odd, Arc::clone(&order));
+        let bytes = freeze_to_bytes(&FreezeSource {
+            interner: &int,
+            dict,
+            removed: &[],
+            rules: &rules,
+            config,
+            generation: 1,
+            order: order.as_ref(),
+            segments: vec![FreezeSegment { dd: &even, index: &ix_even }, FreezeSegment { dd: &odd, index: &ix_odd }],
+        });
+        let (merged, mut merged_int) = open_frozen_bytes(&bytes).expect("open").into_single().expect("merge");
+        assert!(!merged.index().is_frozen(), "several segments are merged onto the heap");
+        assert_eq!(merged.derived().len(), engine.derived().len());
+        let text = "she left UQ Australia for Purdue University United States near University of Wisconsin Madison";
+        let doc_a = Document::parse(text, &tok, &mut int);
+        let doc_b = Document::parse(text, &tok, &mut merged_int);
+        for tau in [0.6, 0.8, 1.0] {
+            assert_eq!(merged.extract(&doc_b, tau), engine.extract(&doc_a, tau), "tau={tau}");
+        }
     }
 
     #[test]

@@ -81,11 +81,11 @@ pub use frozen::{
 pub use limits::{CancelToken, ExtractLimits, ExtractOutcome};
 pub use matches::Match;
 pub use nms::suppress_overlaps;
-pub use persist::{load_engine, load_sharded, peek_generation, save_engine, save_sharded, PersistError, ShardedParts};
+pub use persist::{load_engine, save_engine, PersistError, ShardedParts};
 pub use report::{mention_report, MentionReport};
 pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
-pub use stats::{ExtractStats, LatencyRing};
+pub use stats::ExtractStats;
 pub use strategy::{generate_candidates, Strategy};
 pub use topk::{extract_top_k, extract_top_k_with, select_top_k};
 pub use typo::{extract_fuzzy, FuzzyConfig};

@@ -1,7 +1,8 @@
 //! Fault-injection tests for the robustness layer: corrupt engine files
-//! must fail with errors (never panic or over-allocate) and exhausted
-//! budgets must return immediately with `truncated = true`. (Batch panic
-//! isolation is tested in the `aeetes-pool` crate with the executor.)
+//! (frozen v5 artifacts) must fail with errors (never panic or
+//! over-allocate) and exhausted budgets must return immediately with
+//! `truncated = true`. (Batch panic isolation is tested in the
+//! `aeetes-pool` crate with the executor.)
 
 use aeetes_core::{load_engine, save_engine, Aeetes, AeetesConfig, ExtractLimits, Strategy};
 use aeetes_rules::RuleSet;
@@ -23,14 +24,28 @@ fn sample_engine(config: AeetesConfig) -> (Aeetes, Interner) {
     (Aeetes::build(dict, &rules, &int, config), int)
 }
 
+/// CRC-32/ISO-HDLC, bit by bit: the artifact footer checksum, computed
+/// independently of the library.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 fn saved_bytes() -> Vec<u8> {
     let (engine, int) = sample_engine(AeetesConfig::default());
     save_engine(&engine, &int)
 }
 
 /// Every strict prefix of a valid engine file is rejected with an error.
-/// This walks through *every* field boundary of the format — magic,
-/// version, counts, string payloads, id lists, weights, config, checksum.
+/// This walks through *every* field boundary of the v5 format — magic,
+/// version, generation, section table, every aligned section and its
+/// padding, checksum.
 #[test]
 fn truncation_at_every_byte_is_an_error_not_a_panic() {
     let bytes = saved_bytes();
@@ -56,7 +71,7 @@ fn every_single_bit_flip_is_detected() {
     }
 }
 
-/// Appending garbage after a valid file is rejected (the v2 checksum is
+/// Appending garbage after a valid file is rejected (the checksum is
 /// computed over everything before the footer, so extra bytes shift it).
 #[test]
 fn appended_garbage_is_rejected() {
@@ -76,12 +91,15 @@ proptest! {
         let _ = load_engine(&bytes);
     }
 
-    /// Byte soup that starts with a valid header is the adversarial case:
-    /// it reaches the count/length parsing instead of dying on the magic.
+    /// Byte soup behind a valid header *and* a matching checksum is the
+    /// adversarial case: it gets past the magic, the version and the CRC
+    /// and reaches the section-table and section parsing.
     #[test]
     fn byte_soup_with_valid_header_never_panics(tail in proptest::collection::vec(0u8..=255, 0..4096)) {
-        let mut bytes = b"AEET\x02\x00\x00\x00".to_vec();
+        let mut bytes = b"AEET\x05\x00\x00\x00".to_vec();
         bytes.extend_from_slice(&tail);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         let _ = load_engine(&bytes);
     }
 }

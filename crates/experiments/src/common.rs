@@ -5,8 +5,8 @@ use aeetes_datagen::{generate, Dataset, DatasetProfile};
 use aeetes_rules::RuleSet;
 use aeetes_sim::fuzzy_jaccard;
 use aeetes_text::{Document, Interner};
-use parking_lot::Mutex;
 use serde::Serialize;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Harness configuration (CLI flags).
@@ -48,21 +48,10 @@ impl Config {
     /// parallel (generation is deterministic per profile + seed).
     pub fn datasets(&self) -> Vec<Dataset> {
         let profiles: Vec<DatasetProfile> = DatasetProfile::all().into_iter().map(|p| p.scaled(self.scale)).collect();
-        let out = Mutex::new(Vec::with_capacity(profiles.len()));
-        crossbeam::scope(|s| {
-            for (i, p) in profiles.iter().enumerate() {
-                let out = &out;
-                let seed = self.seed;
-                s.spawn(move |_| {
-                    let d = generate(p, seed);
-                    out.lock().push((i, d));
-                });
-            }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = profiles.iter().map(|p| s.spawn(move || generate(p, self.seed))).collect();
+            handles.into_iter().map(|h| h.join().expect("generation thread")).collect()
         })
-        .expect("generation threads");
-        let mut v = out.into_inner();
-        v.sort_by_key(|(i, _)| *i);
-        v.into_iter().map(|(_, d)| d).collect()
     }
 
     /// The documents of `data` to measure (honours `--docs`).
@@ -81,13 +70,13 @@ impl Config {
         if let serde_json::Value::Object(m) = &mut v {
             m.insert("experiment".into(), serde_json::Value::String(experiment.into()));
         }
-        self.rows.lock().push(v);
+        self.rows.lock().unwrap_or_else(|p| p.into_inner()).push(v);
     }
 
     /// Writes accumulated rows to the `--json` path, if any.
     pub fn flush_json(&self) {
         let Some(path) = &self.json_path else { return };
-        let rows = self.rows.lock();
+        let rows = self.rows.lock().unwrap_or_else(|p| p.into_inner());
         let body = serde_json::to_string_pretty(&*rows).expect("serializable rows");
         if let Err(e) = std::fs::write(path, body) {
             eprintln!("warning: could not write {path}: {e}");

@@ -263,28 +263,10 @@ impl ShardedEngine {
         self.pending.lock().unwrap_or_else(|p| p.into_inner()).take().map(|g| g.id())
     }
 
-    /// Snapshots the current generation into persistable parts
-    /// (`AEET` format v4 via [`aeetes_core::save_sharded`]). The snapshot
-    /// carries the generation number, so an engine restored from it (or a
-    /// WAL replayed over it) continues the same generation sequence.
-    pub fn to_parts(&self) -> ShardedParts {
-        let g = self.snapshot();
-        ShardedParts {
-            interner: g.interner.clone(),
-            dict: g.dict.clone(),
-            removed: g.removed.clone(),
-            rules: g.rules.clone(),
-            config: g.config.clone(),
-            segments: g.shards.iter().map(|s| s.dd.clone()).collect(),
-            generation: g.id(),
-        }
-    }
-
     /// Serializes the current generation as a frozen (format v5) artifact —
-    /// see [`Generation::freeze`]. Unlike [`ShardedEngine::to_parts`] +
-    /// `save_sharded` (v4), the artifact carries the built indexes, so an
-    /// engine opened from it ([`ShardedEngine::from_frozen`]) serves without
-    /// any derive or index work.
+    /// see [`Generation::freeze`]. The artifact carries the built indexes,
+    /// so an engine opened from it ([`ShardedEngine::from_frozen`]) serves
+    /// without any derive or index work.
     pub fn freeze(&self) -> Vec<u8> {
         self.snapshot().freeze()
     }
@@ -383,8 +365,8 @@ fn build_next(cur: &Generation, delta: &DictDelta, tokenizer: &Tokenizer) -> Res
 }
 
 impl ShardedEngine {
-    /// Reconstructs an engine from persisted parts, resuming at the
-    /// artifact's recorded generation number (1 for pre-v4 artifacts).
+    /// Reconstructs an engine from an artifact's parts, resuming at its
+    /// recorded generation number.
     ///
     /// `shards` overrides the shard count (`None` keeps the artifact's
     /// segment count, `Some(0)` means available parallelism). When the
@@ -500,7 +482,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_core::{save_sharded, Aeetes, ExtractBackend, ExtractLimits};
+    use aeetes_core::{Aeetes, ExtractBackend, ExtractLimits};
     use aeetes_text::Document;
 
     fn fixture() -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -640,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn persistence_round_trips_through_v3() {
+    fn persistence_round_trips_after_update() {
         let (dict, rules, int, tok) = fixture();
         let engine = ShardedEngine::build(dict, &rules, &int, AeetesConfig::default(), 3);
         engine
@@ -653,10 +635,10 @@ mod tests {
                 &tok,
             )
             .expect("update");
-        let bytes = save_sharded(&engine.to_parts());
-        let loaded = aeetes_core::load_sharded(&bytes).expect("load");
+        let bytes = engine.freeze();
         for &override_n in &[None, Some(1), Some(5)] {
-            let restored = ShardedEngine::from_parts(loaded.clone(), override_n).expect("from_parts");
+            let parts = aeetes_core::open_frozen_bytes(&bytes).expect("open");
+            let restored = ShardedEngine::from_frozen(parts, override_n).expect("from_frozen");
             let g1 = engine.snapshot();
             let g2 = restored.snapshot();
             assert_eq!(g2.removed(), g1.removed());
