@@ -244,7 +244,7 @@ impl Faerie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_core::{Aeetes, AeetesConfig};
+    use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend};
     use aeetes_rules::{DeriveConfig, RuleSet};
     use aeetes_text::{Interner, Tokenizer};
 

@@ -2,7 +2,7 @@
 //! derived-dictionary cap grows (usjob profile — the cap-sensitive one).
 
 use aeetes_bench::{BENCH_SCALE, BENCH_SEED};
-use aeetes_core::{Aeetes, AeetesConfig};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_rules::DeriveConfig;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -85,7 +85,7 @@ fn bench(c: &mut Criterion) {
         let generation = engine.snapshot();
         let mut interner = generation.interner().clone();
         let doc = Document::parse(&doc_text, &tokenizer, &mut interner);
-        generation.extract_all(&doc, TAU)
+        generation.extract(&doc, TAU)
     };
 
     // Resident-set deltas, best effort: v5 first so the allocator's

@@ -19,7 +19,7 @@
 //! wall-clock pass (the CI smoke mode).
 
 use aeetes_bench::{BENCH_SCALE, BENCH_SEED};
-use aeetes_core::{extract_top_k_with, select_top_k, Aeetes, AeetesConfig, ExtractStats, Strategy};
+use aeetes_core::{extract_top_k_with, select_top_k, Aeetes, AeetesConfig, ExtractBackend, ExtractScratch, ExtractStats, Query, Strategy};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_sim::Metric;
 use aeetes_stream::StreamExtractor;
@@ -85,7 +85,9 @@ fn bench(c: &mut Criterion) {
     let mut full_stats = ExtractStats::default();
     let mut pruned_stats = ExtractStats::default();
     for doc in &docs {
-        let (mut all, fs) = engine.extract_with(doc, tau, Strategy::Simple);
+        let simple = Query { strategy: Strategy::Simple, ..Query::new(engine.config(), tau) };
+        let full = engine.query(doc, &simple, &mut ExtractScratch::new()).to_outcome();
+        let (mut all, fs) = (full.matches, full.stats);
         full_stats += fs;
         let (top, ps) = extract_top_k_with(&engine, doc, k, tau, metric);
         pruned_stats += ps;

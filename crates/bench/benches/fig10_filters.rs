@@ -2,7 +2,7 @@
 //! strategies (Simple / Skip / Dynamic / Lazy).
 
 use aeetes_bench::{fixture, profiles, TAUS};
-use aeetes_core::Strategy;
+use aeetes_core::{ExtractBackend, ExtractScratch, Query, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -16,10 +16,11 @@ fn bench(c: &mut Criterion) {
         let docs = &fx.data.documents[..fx.data.documents.len().min(3)];
         for tau in TAUS {
             for strategy in Strategy::ALL {
+                let query = Query { strategy, ..Query::new(fx.engine.config(), tau) };
                 g.bench_function(format!("{}/{}/tau{tau}", fx.data.name, strategy.name()), |b| {
                     b.iter(|| {
                         for doc in docs {
-                            black_box(fx.engine.extract_with(doc, tau, strategy));
+                            black_box(fx.engine.query(doc, &query, &mut ExtractScratch::new()));
                         }
                     });
                 });

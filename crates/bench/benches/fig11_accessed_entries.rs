@@ -5,7 +5,7 @@
 //! with wall-clock cost.
 
 use aeetes_bench::{fixture, profiles, TAUS};
-use aeetes_core::Strategy;
+use aeetes_core::{ExtractBackend, ExtractScratch, Query, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -19,18 +19,19 @@ fn bench(c: &mut Criterion) {
         let docs = &fx.data.documents[..fx.data.documents.len().min(3)];
         for tau in TAUS {
             for strategy in Strategy::ALL {
+                let query = Query { strategy, ..Query::new(fx.engine.config(), tau) };
                 // Deterministic accessed-entries figure (the actual Fig 11
                 // series), reported alongside the timing.
                 let mut accessed = 0u64;
                 for doc in docs {
-                    let (_, stats) = fx.engine.extract_with(doc, tau, strategy);
+                    let stats = fx.engine.query(doc, &query, &mut ExtractScratch::new()).stats;
                     accessed += stats.accessed_entries;
                 }
                 eprintln!("fig11/{}/{}/tau{tau}: accessed_entries_per_doc = {}", fx.data.name, strategy.name(), accessed / docs.len() as u64);
                 g.bench_function(format!("{}/{}/tau{tau}", fx.data.name, strategy.name()), |b| {
                     b.iter(|| {
                         for doc in docs {
-                            black_box(fx.engine.extract_with(doc, tau, strategy));
+                            black_box(fx.engine.query(doc, &query, &mut ExtractScratch::new()));
                         }
                     });
                 });

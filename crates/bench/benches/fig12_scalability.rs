@@ -2,7 +2,7 @@
 //! (entity-count sweep per dataset).
 
 use aeetes_bench::{BENCH_SCALE, BENCH_SEED};
-use aeetes_core::{Aeetes, AeetesConfig};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend};
 use aeetes_datagen::{generate, DatasetProfile};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -3,6 +3,7 @@
 
 use aeetes_baselines::Faerie;
 use aeetes_bench::{fixture, profiles, TAUS};
+use aeetes_core::ExtractBackend;
 use aeetes_rules::{DeriveConfig, DerivedDictionary};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -42,7 +42,7 @@ use crate::protocol::{
     delta_value, error_line, ok_line, parse_delta, parse_request, Ceilings, ErrorCode, ExtractRequest, Reject, ReloadRequest, Request, StreamRequest,
     StreamVerb,
 };
-use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractLimits, ExtractScratch, Match, Stage, Wal};
+use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractLimits, ExtractScratch, Match, Query, Stage, Wal};
 use aeetes_obs::{Counter, ExtractCounts, ExtractMetrics, Gauge, Histogram, MetricRegistry, StreamMetrics, WalMetrics};
 use aeetes_pool::Pool;
 use aeetes_shard::{DictDelta, Generation, RuleDelta, ShardedEngine};
@@ -489,7 +489,15 @@ fn run_job(shared: &Shared, generation: &Generation, interner: &mut Interner, sc
         let parse_started = Instant::now();
         let doc = Document::parse(&job.req.doc, &shared.tokenizer, interner);
         let tokenize_nanos = u64::try_from(parse_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let out = generation.extract_scratched(&doc, job.req.tau, &limits, Some(&shared.cancel), scratch);
+        // `top_k` runs the pruned scan — except with `best`, where top-k
+        // ranks the overlap-suppressed set and so post-filters it below.
+        let query = Query {
+            limits,
+            cancel: Some(&shared.cancel),
+            top_k: job.req.top_k.filter(|_| !job.req.best),
+            ..Query::new(generation.config(), job.req.tau)
+        };
+        let out = generation.query(&doc, &query, scratch);
         let truncated = out.truncated;
         let stats = out.stats;
         // Tokenization happens outside the engine, so its stage is recorded
@@ -498,22 +506,14 @@ fn run_job(shared: &Shared, generation: &Generation, interner: &mut Interner, sc
         stages.record(Stage::Tokenize, tokenize_nanos);
         let suppressed;
         let matches: &[Match] = if job.req.best {
-            suppressed = suppress_overlaps(out.matches.to_vec());
+            let mut kept = suppress_overlaps(out.matches.to_vec());
+            if let Some(k) = job.req.top_k {
+                select_top_k(&mut kept, k);
+            }
+            suppressed = kept;
             &suppressed
         } else {
             out.matches
-        };
-        // `top_k` post-filters whatever survived `best`, reordering by
-        // score (best first) — the same contract as `extract --top-k`.
-        let top;
-        let matches: &[Match] = match job.req.top_k {
-            Some(k) => {
-                let mut kept = matches.to_vec();
-                select_top_k(&mut kept, k);
-                top = kept;
-                &top
-            }
-            None => matches,
         };
         let rendered: Vec<Value> = matches
             .iter()

@@ -752,3 +752,82 @@ fn prepare_activate_round_trip_and_conflicts() {
     server.wait_for_clean_exit(Duration::from_secs(20));
     let _ = std::fs::remove_file(&engine);
 }
+
+/// `(start, len, entity, score)` of each match in a JSON match array.
+fn rows_of(matches: &[serde_json::Value]) -> Vec<[f64; 4]> {
+    let row = |m: &serde_json::Value| ["start", "len", "entity", "score"].map(|k| m.get(k).and_then(serde_json::Value::as_f64).expect(k));
+    matches.iter().map(row).collect()
+}
+
+/// Serve's `top_k` runs the pruned scan on one segment and across shards:
+/// its answers equal `aeetes extract --top-k` rows, and `best` + `top_k`
+/// equals `select_top_k(suppress_overlaps(full))` on the same artifact.
+#[test]
+fn top_k_matches_cli_and_best_ranks_the_suppressed_set() {
+    use aeetes_core::{open_frozen, select_top_k, suppress_overlaps, ExtractBackend};
+    use aeetes_text::Document;
+
+    const TAU: f64 = 0.5;
+    let dir = std::env::temp_dir().join(format!("aeetes-serve-topk-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let (dict, rules, docs_file) = (path("dict.txt"), path("rules.tsv"), path("docs.txt"));
+    std::fs::write(&dict, "machine learning systems\nlearning systems\ndeep learning\nneural network systems\nsystems biology\n").unwrap();
+    std::fs::write(&rules, "ml\tmachine learning\nnn\tneural network\n").unwrap();
+    let docs = [
+        "deep learning and machine learning systems for neural network systems in systems biology",
+        "ml systems meet nn systems and deep learning systems biology",
+        "learning systems learning systems deep learning",
+    ];
+    std::fs::write(&docs_file, docs.join("\n")).unwrap();
+    let aeetes = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_aeetes")).args(args).output().expect("run aeetes");
+        assert!(out.status.success(), "aeetes {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+
+    for shards in ["1", "3"] {
+        let artifact = path(&format!("engine-{shards}.aeet"));
+        aeetes(&["build", "--dict", &dict, "--rules", &rules, "--out", &artifact, "--shards", shards]);
+        let (engine, mut interner) = open_frozen(artifact.as_ref()).expect("open artifact").into_single().expect("one engine");
+        let server = Server::spawn(&PathBuf::from(&artifact), &[]);
+        for k in [1usize, 2, 3] {
+            let k_arg = k.to_string();
+            let cli = aeetes(&[
+                "extract", "--engine", &artifact, "--docs", &docs_file, "--tau", "0.5", "--top-k", &k_arg, "--format", "jsonl",
+            ]);
+            let cli_rows: Vec<serde_json::Value> = cli.lines().map(|l| serde_json::from_str(l).expect("jsonl row")).collect();
+            for (i, text) in docs.iter().enumerate() {
+                let served = |extra: &str| {
+                    let req = format!(r#"{{"id":{i},"type":"extract","doc":"{text}","tau":{TAU},"top_k":{k}{extra}}}"#);
+                    let resp: serde_json::Value = serde_json::from_str(&server.round_trip(&req)).expect("JSON response");
+                    rows_of(
+                        resp.get("matches")
+                            .and_then(serde_json::Value::as_array)
+                            .unwrap_or_else(|| panic!("no matches in {resp}")),
+                    )
+                };
+                let want: Vec<serde_json::Value> = cli_rows
+                    .iter()
+                    .filter(|r| r.get("doc").and_then(serde_json::Value::as_u64) == Some(i as u64))
+                    .cloned()
+                    .collect();
+                let top = served("");
+                assert!(!top.is_empty(), "shards={shards} k={k} doc {i}: fixture must match");
+                assert_eq!(top, rows_of(&want), "shards={shards} k={k} doc {i}: serve top_k vs extract --top-k");
+
+                let doc = Document::parse(text, &Tokenizer::default(), &mut interner);
+                let mut oracle = suppress_overlaps(engine.extract(&doc, TAU));
+                select_top_k(&mut oracle, k);
+                let oracle: Vec<[f64; 4]> = oracle
+                    .iter()
+                    .map(|m| [m.span.start.into(), m.span.len.into(), m.entity.0.into(), m.score])
+                    .collect();
+                assert_eq!(served(r#","best":true"#), oracle, "shards={shards} k={k} doc {i}: best + top_k");
+            }
+        }
+        server.round_trip(r#"{"type":"shutdown"}"#);
+        server.wait_for_clean_exit(Duration::from_secs(20));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use crate::limits::ExtractLimits;
 use crate::strategy::Strategy;
 use aeetes_rules::DeriveConfig;
 use aeetes_sim::Metric;
@@ -10,16 +9,12 @@ use aeetes_sim::Metric;
 pub struct AeetesConfig {
     /// Derived-dictionary generation options (rule-combination cap).
     pub derive: DeriveConfig,
-    /// Filtering strategy used by [`crate::Aeetes::extract`].
+    /// Default filtering strategy of [`crate::Query::new`].
     /// Defaults to [`Strategy::Lazy`], the fastest variant (paper Fig. 10).
     pub strategy: Strategy,
     /// Token-set similarity metric (paper §2.2 extension; default Jaccard,
     /// giving exactly the paper's JaccAR semantics).
     pub metric: Metric,
-    /// Resource budgets applied to every extraction call. Defaults to
-    /// [`ExtractLimits::UNLIMITED`], which leaves results bit-for-bit
-    /// identical to the unbudgeted engine.
-    pub limits: ExtractLimits,
 }
 
 impl Default for AeetesConfig {
@@ -28,7 +23,6 @@ impl Default for AeetesConfig {
             derive: DeriveConfig::default(),
             strategy: Strategy::Lazy,
             metric: Metric::Jaccard,
-            limits: ExtractLimits::UNLIMITED,
         }
     }
 }
@@ -41,6 +35,5 @@ mod tests {
     fn default_strategy_is_lazy() {
         assert_eq!(AeetesConfig::default().strategy, Strategy::Lazy);
         assert_eq!(AeetesConfig::default().metric, Metric::Jaccard);
-        assert!(AeetesConfig::default().limits.is_unlimited());
     }
 }

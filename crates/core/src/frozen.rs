@@ -839,8 +839,8 @@ pub fn peek_info(bytes: &[u8]) -> Result<ArtifactInfo, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::extract_segment;
-    use crate::limits::ExtractLimits;
+    use crate::backend::{extract_segment, ExtractBackend, Query};
+    use crate::scratch::SegmentScratch;
     use aeetes_rules::DerivedEntity;
     use aeetes_text::{Document, Tokenizer};
 
@@ -872,10 +872,13 @@ mod tests {
         })
     }
 
+    fn segment_matches(index: &ClusteredIndex, dd: &DerivedDictionary, doc: &Document, query: &Query) -> Vec<crate::Match> {
+        extract_segment(index, dd, doc, query, None, &mut SegmentScratch::default()).matches.to_vec()
+    }
+
     fn extract_frozen(parts: &FrozenParts, doc: &Document, tau: f64) -> Vec<crate::Match> {
         let seg = &parts.segments[0];
-        extract_segment(&seg.index, &seg.dd, doc, tau, parts.config.strategy, parts.config.metric, false, None, &ExtractLimits::UNLIMITED, None)
-            .matches
+        segment_matches(&seg.index, &seg.dd, doc, &Query::new(&parts.config, tau))
     }
 
     #[test]
@@ -980,9 +983,8 @@ mod tests {
         let mut fi = parts.interner.clone();
         let doc = Document::parse("purdue university united states and uq australia", &tok, &mut fi);
         for (seg, (src_dd, src_ix)) in parts.segments.iter().zip([(&even, &ix_even), (&odd, &ix_odd)]) {
-            let a = extract_segment(&seg.index, &seg.dd, &doc, 0.7, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
-            let b = extract_segment(src_ix, src_dd, &doc, 0.7, config.strategy, config.metric, false, None, &ExtractLimits::UNLIMITED, None);
-            assert_eq!(a.matches, b.matches);
+            let query = Query::new(config, 0.7);
+            assert_eq!(segment_matches(&seg.index, &seg.dd, &doc, &query), segment_matches(src_ix, src_dd, &doc, &query));
         }
     }
 

@@ -6,7 +6,7 @@
 //! 1. **Off-line** ([`Aeetes::build`]): apply synonym rules to every
 //!    dictionary entity ([`aeetes_rules::DerivedDictionary`]), then build the
 //!    clustered inverted index ([`aeetes_index::ClusteredIndex`]).
-//! 2. **On-line** ([`Aeetes::extract`]): slide windows over the document,
+//! 2. **On-line** ([`ExtractBackend::query`]): slide windows over the document,
 //!    generate candidate `(substring, origin entity)` pairs with one of four
 //!    filtering [`Strategy`]s, then verify each candidate's exact JaccAR
 //!    score.
@@ -25,7 +25,7 @@
 //! ```
 //! use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 //! use aeetes_rules::RuleSet;
-//! use aeetes_core::{Aeetes, AeetesConfig};
+//! use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend};
 //!
 //! let mut int = Interner::new();
 //! let tok = Tokenizer::default();
@@ -68,7 +68,7 @@ mod verify;
 pub mod wal;
 mod window;
 
-pub use backend::{extract_segment, extract_segment_scratched, ExtractBackend};
+pub use backend::{extract_segment, ExtractBackend, Query};
 pub use batch::{panic_message, BatchOptions, DocError};
 pub use config::AeetesConfig;
 pub use durable::{atomic_replace, fsync_dir};
@@ -87,7 +87,7 @@ pub use scratch::{ExtractScratch, ScratchOutcome, SegmentScratch};
 pub use stage::{Stage, StageSlots, SAMPLE_MASK};
 pub use stats::ExtractStats;
 pub use strategy::{generate_candidates, Strategy};
-pub use topk::{extract_top_k, extract_top_k_with, select_top_k};
+pub use topk::{extract_top_k_with, select_top_k};
 pub use typo::{extract_fuzzy, FuzzyConfig};
 pub use wal::{Wal, WalError, WalRecord, WalReplay};
 pub use window::{DenseRemap, WindowState};

@@ -524,13 +524,13 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<AeetesConfig, PersistErr
         derive: DeriveConfig { max_derived, ..DeriveConfig::default() },
         strategy,
         metric,
-        ..AeetesConfig::default()
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExtractBackend;
     use aeetes_text::{Document, Tokenizer};
 
     fn sample_engine() -> (Aeetes, Interner, Tokenizer) {

@@ -3,8 +3,10 @@
 //! mentioned reference product names from those reviews" and aggregate them
 //! as signals.
 
+use crate::backend::{ExtractBackend, Query};
 use crate::extractor::Aeetes;
 use crate::nms::suppress_overlaps;
+use crate::scratch::ExtractScratch;
 use crate::stats::ExtractStats;
 use aeetes_text::{Document, EntityId};
 
@@ -64,10 +66,12 @@ where
         stats: ExtractStats::default(),
         counts: vec![0; engine.dictionary().len()],
     };
+    let mut scratch = ExtractScratch::new();
     for doc in docs {
         report.documents += 1;
-        let (matches, stats) = engine.extract_with(doc, tau, engine.config().strategy);
-        report.stats += stats;
+        let out = engine.query(doc, &Query::new(engine.config(), tau), &mut scratch);
+        report.stats += out.stats;
+        let matches = out.matches.to_vec();
         let matches = if best_per_region { suppress_overlaps(matches) } else { matches };
         if !matches.is_empty() {
             report.documents_with_mentions += 1;

@@ -22,9 +22,10 @@ use crate::limits::ExtractOutcome;
 use crate::matches::Match;
 use crate::stage::StageSlots;
 use crate::stats::ExtractStats;
+use crate::topk::Worst;
 use crate::window::{DenseRemap, WindowState};
 use aeetes_text::{EntityId, Span, TokenId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// One substring that carries a given valid token in its prefix, with its
 /// precomputed admissible entity-length interval `[lo, hi]` (Lazy pass 1).
@@ -80,8 +81,11 @@ pub struct SegmentScratch {
     pub(crate) buf: Vec<u32>,
     /// Verification: sorted distinct key set of the current span.
     pub(crate) s_keys: Vec<u64>,
-    /// Sorted matches of the most recent run.
+    /// Matches of the most recent run: sorted by `(span, entity)`, or by
+    /// score for a top-k query.
     pub(crate) matches: Vec<Match>,
+    /// The top-k scan's best-so-far heap.
+    pub(crate) heap: BinaryHeap<Worst>,
     /// Per-stage timing slots of the most recent run: scratch-resident so
     /// recording stays allocation-free (zero-sized without the `obs`
     /// feature).
@@ -95,25 +99,14 @@ pub struct SegmentScratch {
 }
 
 impl SegmentScratch {
-    /// Matches of the most recent extraction into this scratch, sorted by
-    /// `(span, entity)`.
-    pub fn matches(&self) -> &[Match] {
-        &self.matches
-    }
-
-    /// Stage timing slots of the most recent extraction into this scratch.
-    pub fn stages(&self) -> &StageSlots {
-        &self.stages
-    }
-
-    /// Whether the most recent extraction into this scratch was truncated.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Work counters of the most recent extraction into this scratch.
-    pub fn stats(&self) -> ExtractStats {
-        self.stats
+    /// The most recent extraction into this scratch.
+    pub fn outcome(&self) -> ScratchOutcome<'_> {
+        ScratchOutcome {
+            matches: &self.matches,
+            truncated: self.truncated,
+            stats: self.stats,
+            stages: self.stages,
+        }
     }
 }
 

@@ -85,6 +85,7 @@ pub fn extract_fuzzy(engine: &Aeetes, doc: &Document, interner: &Interner, confi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExtractBackend;
     use crate::config::AeetesConfig;
     use aeetes_rules::RuleSet;
     use aeetes_text::{Dictionary, Tokenizer};

@@ -31,11 +31,6 @@ pub struct DenseRemap {
 }
 
 impl DenseRemap {
-    /// Empty remap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Rebuilds the remap from the document's global-order key sequence (in
     /// position order). Previously acquired capacity is reused.
     pub fn build<I: IntoIterator<Item = u64>>(&mut self, keys: I) {
@@ -250,7 +245,7 @@ mod tests {
 
     #[test]
     fn remap_assigns_dense_sorted_ranks() {
-        let mut r = DenseRemap::new();
+        let mut r = DenseRemap::default();
         // Two invalid keys (< 1<<32) and three valid ones, with repeats.
         let k = |f: u64, s: u64| (f << 32) | s;
         r.build([k(2, 7), 5, k(1, 3), 9, k(2, 7), 5]);
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn remap_of_empty_document() {
-        let mut r = DenseRemap::new();
+        let mut r = DenseRemap::default();
         r.build([]);
         assert_eq!(r.universe(), 0);
         assert!(r.doc_ranks().is_empty());

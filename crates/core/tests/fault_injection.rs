@@ -4,7 +4,7 @@
 //! `truncated = true`. (Batch panic isolation is tested in the
 //! `aeetes-pool` crate with the executor.)
 
-use aeetes_core::{load_engine, save_engine, Aeetes, AeetesConfig, ExtractLimits, Strategy};
+use aeetes_core::{load_engine, save_engine, Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractScratch, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
@@ -142,7 +142,7 @@ fn zero_budget_returns_immediately_truncated() {
         let tok = Tokenizer::default();
         for text in ["purdue university usa and uq au", ""] {
             let doc = Document::parse(text, &tok, &mut int);
-            let out = engine.extract_with_limits(&doc, 0.8, &limits);
+            let out = engine.extract_scratched(&doc, 0.8, &limits, None, &mut ExtractScratch::new()).to_outcome();
             assert!(out.truncated, "{strategy} on {text:?}");
             assert!(out.matches.is_empty());
         }
@@ -161,7 +161,7 @@ fn budgeted_results_are_subsets_of_full_results() {
         let full = engine.extract(&doc, 0.8);
         for cap in 0..=full.len() + 1 {
             let limits = ExtractLimits { max_matches: Some(cap), ..ExtractLimits::UNLIMITED };
-            let out = engine.extract_with_limits(&doc, 0.8, &limits);
+            let out = engine.extract_scratched(&doc, 0.8, &limits, None, &mut ExtractScratch::new()).to_outcome();
             assert!(out.matches.len() <= cap.max(full.len()), "{strategy} cap={cap}");
             for m in &out.matches {
                 assert!(full.contains(m), "{strategy} cap={cap} invented {m:?}");

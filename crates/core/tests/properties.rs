@@ -3,7 +3,7 @@
 //! extraction properties live in the `aeetes-pool` crate with the
 //! executor.)
 
-use aeetes_core::{load_engine, save_engine, suppress_overlaps, Aeetes, AeetesConfig, WindowState};
+use aeetes_core::{load_engine, save_engine, suppress_overlaps, Aeetes, AeetesConfig, ExtractBackend, WindowState};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use proptest::prelude::*;

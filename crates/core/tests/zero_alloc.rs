@@ -1,7 +1,7 @@
 //! Proves the zero-allocation hot-path claim: once an [`ExtractScratch`]
 //! has warmed up to its high-water capacity, repeat extraction over the
 //! same document mix performs **zero** heap allocations per document, for
-//! both incremental strategies (`Dynamic` and `Lazy`).
+//! both incremental strategies (`Dynamic` and `Lazy`) and for top-k.
 //!
 //! The proof is a counting `#[global_allocator]`: every `alloc` /
 //! `realloc` / `alloc_zeroed` bumps an atomic counter, and the steady-state
@@ -19,7 +19,7 @@
 //! persistent pool; see `aeetes-pool/tests/zero_alloc_batch.rs` (its own
 //! binary, for the same one-test-per-allocator reason).
 
-use aeetes_core::{Aeetes, AeetesConfig, ExtractLimits, ExtractScratch, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractScratch, Query, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,31 +98,34 @@ fn steady_state_extraction_allocates_nothing() {
         .iter()
         .map(|t| Document::parse(t, &tok, &mut int))
         .collect();
-        let mut scratch = ExtractScratch::new();
-        let mut warm_matches = 0usize;
-        for _ in 0..3 {
-            warm_matches = 0;
-            for doc in &docs {
-                let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
-                warm_matches += out.matches.len();
-                #[cfg(feature = "obs")]
-                flush_obs(&metrics, &out);
+        for top_k in [None, Some(2)] {
+            let query = Query { top_k, ..Query::new(engine.config(), 0.8) };
+            let mut scratch = ExtractScratch::new();
+            let mut warm_matches = 0usize;
+            for _ in 0..3 {
+                warm_matches = 0;
+                for doc in &docs {
+                    let out = engine.query(doc, &query, &mut scratch);
+                    warm_matches += out.matches.len();
+                    #[cfg(feature = "obs")]
+                    flush_obs(&metrics, &out);
+                }
             }
-        }
-        assert!(warm_matches > 0, "fixture must produce matches for the test to mean anything");
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let mut steady_matches = 0usize;
-        for _ in 0..5 {
-            steady_matches = 0;
-            for doc in &docs {
-                let out = engine.extract_scratched(doc, 0.8, &ExtractLimits::UNLIMITED, None, &mut scratch);
-                steady_matches += out.matches.len();
-                #[cfg(feature = "obs")]
-                flush_obs(&metrics, &out);
+            assert!(warm_matches > 0, "fixture must produce matches for the test to mean anything");
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let mut steady_matches = 0usize;
+            for _ in 0..5 {
+                steady_matches = 0;
+                for doc in &docs {
+                    let out = engine.query(doc, &query, &mut scratch);
+                    steady_matches += out.matches.len();
+                    #[cfg(feature = "obs")]
+                    flush_obs(&metrics, &out);
+                }
             }
+            let delta = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(steady_matches, warm_matches, "steady-state rounds must reproduce the warmed-up result");
+            assert_eq!(delta, 0, "strategy {strategy} top_k {top_k:?} allocated {delta} time(s) across 5 steady-state rounds");
         }
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
-        assert_eq!(steady_matches, warm_matches, "steady-state rounds must reproduce the warmed-up result");
-        assert_eq!(delta, 0, "strategy {strategy} allocated {delta} time(s) across 5 steady-state rounds");
     }
 }

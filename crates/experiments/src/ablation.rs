@@ -6,7 +6,7 @@
 //! the recall of exact+synonym gold mentions.
 
 use crate::common::{time_ms_best, Config};
-use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig};
+use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig, ExtractBackend};
 use aeetes_datagen::{generate, DatasetProfile, MentionForm};
 use aeetes_rules::DeriveConfig;
 use serde::Serialize;

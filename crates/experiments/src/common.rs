@@ -1,6 +1,6 @@
 //! Shared plumbing: CLI options, dataset cache, timing and result output.
 
-use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig, Match, Strategy};
+use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig, ExtractBackend, Match, Strategy};
 use aeetes_datagen::{generate, Dataset, DatasetProfile};
 use aeetes_rules::RuleSet;
 use aeetes_sim::fuzzy_jaccard;

@@ -2,6 +2,7 @@
 //! per document for Simple / Skip / Dynamic / Lazy.
 
 use crate::common::{engine_with_rules, fmt_ms, time_ms_best, Config, STRATEGIES, TAUS};
+use aeetes_core::{ExtractBackend, ExtractScratch, Query};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -20,9 +21,10 @@ pub fn run(config: &Config) {
         for tau in TAUS {
             let mut cells = Vec::with_capacity(STRATEGIES.len());
             for strategy in STRATEGIES {
+                let query = Query { strategy, ..Query::new(engine.config(), tau) };
                 let ms = time_ms_best(3, || {
                     for doc in docs {
-                        std::hint::black_box(engine.extract_with(doc, tau, strategy));
+                        std::hint::black_box(engine.query(doc, &query, &mut ExtractScratch::new()));
                     }
                 }) / docs.len() as f64;
                 cells.push(ms);

@@ -2,6 +2,7 @@
 //! accessed inverted-index entries per document.
 
 use crate::common::{engine_with_rules, Config, STRATEGIES, TAUS};
+use aeetes_core::{ExtractBackend, ExtractScratch, Query};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -20,10 +21,10 @@ pub fn run(config: &Config) {
         for tau in TAUS {
             let mut cells = Vec::with_capacity(STRATEGIES.len());
             for strategy in STRATEGIES {
+                let query = Query { strategy, ..Query::new(engine.config(), tau) };
                 let mut accessed = 0u64;
                 for doc in docs {
-                    let (_, stats) = engine.extract_with(doc, tau, strategy);
-                    accessed += stats.accessed_entries;
+                    accessed += engine.query(doc, &query, &mut ExtractScratch::new()).stats.accessed_entries;
                 }
                 let avg = accessed as f64 / docs.len() as f64;
                 cells.push(avg);

@@ -2,6 +2,7 @@
 //! number of dictionary entities grows, for θ ∈ {0.7 … 0.9}.
 
 use crate::common::{engine_with_rules, time_ms_best, Config};
+use aeetes_core::ExtractBackend;
 use aeetes_datagen::{generate, DatasetProfile};
 use serde::Serialize;
 

@@ -3,6 +3,7 @@
 
 use crate::common::{engine_with_rules, fmt_ms, time_ms_best, Config, TAUS};
 use aeetes_baselines::Faerie;
+use aeetes_core::ExtractBackend;
 use aeetes_rules::{DeriveConfig, DerivedDictionary};
 use serde::Serialize;
 

@@ -10,7 +10,7 @@
 //! below τ.
 
 use crate::common::{Config, PrfCounts};
-use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig};
+use aeetes_core::{suppress_overlaps, Aeetes, AeetesConfig, ExtractBackend, ExtractScratch, Query};
 use aeetes_datagen::{generate, DatasetProfile};
 use aeetes_rules::RuleSet;
 use aeetes_text::EntityId;
@@ -63,7 +63,8 @@ pub fn run(config: &Config) {
             for (doc_id, doc) in docs.iter().enumerate() {
                 let gold: Vec<_> = data.gold_for(doc_id).map(|g| (g.entity, g.span)).collect();
                 plain.tally(&suppress_overlaps(engine.extract(doc, tau)), &gold);
-                weighted.tally(&suppress_overlaps(engine.extract_weighted(doc, tau).0), &gold);
+                let query = Query { weighted: true, ..Query::new(engine.config(), tau) };
+                weighted.tally(&suppress_overlaps(engine.query(doc, &query, &mut ExtractScratch::new()).matches.to_vec()), &gold);
             }
             let fmt = |c: &PrfCounts| format!("{:6.3} {:6.3} {:6.3}", c.precision(), c.recall(), c.f1());
             println!("{:<10} {:>7} | {:>26} | {:>26}", data.name, injected, fmt(&plain), fmt(&weighted));

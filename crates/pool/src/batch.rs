@@ -10,8 +10,7 @@
 //! warmed pool performs *zero* heap allocations end to end — queue
 //! capacity, worker scratches and result vectors are all at their
 //! high-water mark. The owning convenience wrappers ([`extract_batch`],
-//! [`extract_batch_with`]) keep the exact signatures the core crate used
-//! to export.
+//! [`extract_batch_with`]) run on [`Pool::global`].
 
 use crate::{on_pool_worker, Pool};
 use aeetes_core::{panic_message, BatchOptions, CancelToken, DocError, ExtractBackend, ExtractOutcome, ExtractScratch, ExtractStats, Match};
@@ -154,18 +153,18 @@ where
     });
 }
 
-/// Fault-isolated batch extraction on an explicit pool: `results[i]` is
-/// the outcome of `docs[i]`, or a [`DocError`] if that document panicked
-/// or the batch was cancelled before it started. `opts.cancel` is
-/// honoured *mid-document*: a document in flight when the token fires
-/// stops at the next window boundary with a truncated (partial but exact)
-/// outcome.
-pub fn extract_batch_with_on<E>(pool: &Pool, engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
+/// Fault-isolated batch extraction over the process-wide [`Pool::global`]
+/// pool: `results[i]` is the outcome of `docs[i]`, or a [`DocError`] if
+/// that document panicked or the batch was cancelled before it started.
+/// `opts.cancel` is honoured *mid-document*: a document in flight when the
+/// token fires stops at the next window boundary with a truncated (partial
+/// but exact) outcome.
+pub fn extract_batch_with<E>(engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
 where
     E: ExtractBackend + ?Sized,
 {
     let mut buf = BatchBuf::new();
-    extract_batch_into(pool, engine, docs, tau, opts, &mut buf);
+    extract_batch_into(Pool::global(), engine, docs, tau, opts, &mut buf);
     buf.slots
         .into_iter()
         .take(docs.len())
@@ -181,42 +180,23 @@ where
         .collect()
 }
 
-/// Batch extraction on an explicit pool: `results[i]` = matches of
-/// `docs[i]`, with the engine's configured limits. If any document
-/// panics, the rest of the batch still completes and the first panic (in
-/// input order) is then re-raised on the caller's thread — the
-/// pre-fault-isolation contract. Use [`extract_batch_with_on`] for
+/// Unlimited batch extraction over the process-wide [`Pool::global`]
+/// pool: `results[i]` = matches of `docs[i]`. If any document panics, the
+/// rest of the batch still completes and the first panic (in input order)
+/// is then re-raised on the caller's thread. Use [`extract_batch_with`] for
 /// per-document errors instead.
-pub fn extract_batch_on<E>(pool: &Pool, engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
+pub fn extract_batch<E>(engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
 where
     E: ExtractBackend + ?Sized,
 {
-    let opts = BatchOptions { threads, limits: engine.config().limits, ..BatchOptions::default() };
-    extract_batch_with_on(pool, engine, docs, tau, &opts)
+    let opts = BatchOptions { threads, ..BatchOptions::default() };
+    extract_batch_with(engine, docs, tau, &opts)
         .into_iter()
         .map(|r| match r {
             Ok(out) => out.matches,
             Err(e) => panic!("{e}"),
         })
         .collect()
-}
-
-/// [`extract_batch_on`] over the process-wide [`Pool::global`] pool —
-/// the drop-in replacement for the scoped-thread `extract_batch` the core
-/// crate used to export.
-pub fn extract_batch<E>(engine: &E, docs: &[Document], tau: f64, threads: usize) -> Vec<Vec<Match>>
-where
-    E: ExtractBackend + ?Sized,
-{
-    extract_batch_on(Pool::global(), engine, docs, tau, threads)
-}
-
-/// [`extract_batch_with_on`] over the process-wide [`Pool::global`] pool.
-pub fn extract_batch_with<E>(engine: &E, docs: &[Document], tau: f64, opts: &BatchOptions) -> Vec<Result<ExtractOutcome, DocError>>
-where
-    E: ExtractBackend + ?Sized,
-{
-    extract_batch_with_on(Pool::global(), engine, docs, tau, opts)
 }
 
 /// Runs `f(i, scratch)` for every `i < len` on up to `threads` pool

@@ -3,7 +3,7 @@
 //! cancellation. These tests migrated here from `aeetes-core` when the
 //! executor moved out of that crate.
 
-use aeetes_core::{Aeetes, AeetesConfig, BatchOptions, CancelToken, DocError, ExtractLimits, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, BatchOptions, CancelToken, DocError, ExtractBackend, ExtractLimits, Strategy};
 use aeetes_pool::{extract_batch, extract_batch_with, run_batch, Pool};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Document, Interner, TokenId, Tokenizer};

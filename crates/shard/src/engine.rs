@@ -10,8 +10,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Upper bound on the shard count: the fan-out spawns one thread per shard
-/// per extraction, so an absurd count must not be able to exhaust threads.
+/// Upper bound on the shard count: build and update spawn one thread per
+/// shard (extraction runs on the worker pool), so an absurd count must not
+/// be able to exhaust threads.
 const MAX_SHARDS: usize = 64;
 
 /// A batch of dictionary/rule changes applied as one new generation.
@@ -482,7 +483,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeetes_core::{Aeetes, ExtractBackend, ExtractLimits};
+    use aeetes_core::{Aeetes, ExtractBackend, ExtractScratch, Query};
     use aeetes_text::Document;
 
     fn fixture() -> (Dictionary, RuleSet, Interner, Tokenizer) {
@@ -522,7 +523,7 @@ mod tests {
             let mut int2 = int.clone();
             for doc in docs(&mut int2, &tok) {
                 for tau in [0.6, 0.8, 1.0] {
-                    assert_eq!(generation.extract_all(&doc, tau), mono.extract(&doc, tau), "n={n} tau={tau}");
+                    assert_eq!(generation.extract(&doc, tau), mono.extract(&doc, tau), "n={n} tau={tau}");
                 }
             }
         }
@@ -563,12 +564,12 @@ mod tests {
         for text in ["eth zurich switzerland", "uq australia", "purdue university united states"] {
             let doc = Document::parse(text, &tok, &mut int2);
             for tau in [0.6, 0.9] {
-                assert_eq!(generation.extract_all(&doc, tau), mono.extract(&doc, tau), "doc={text} tau={tau}");
+                assert_eq!(generation.extract(&doc, tau), mono.extract(&doc, tau), "doc={text} tau={tau}");
             }
         }
         // The tombstoned entity no longer matches anything.
         let doc = Document::parse("uq au", &tok, &mut int2);
-        assert!(generation.extract_all(&doc, 1.0).iter().all(|m| m.entity != EntityId(1)));
+        assert!(generation.extract(&doc, 1.0).iter().all(|m| m.entity != EntityId(1)));
     }
 
     #[test]
@@ -597,14 +598,14 @@ mod tests {
         let old = engine.snapshot();
         let mut int2 = old.interner().clone();
         let doc = Document::parse("uq australia", &tok, &mut int2);
-        let before = old.extract_all(&doc, 0.8);
+        let before = old.extract(&doc, 0.8);
         engine
             .apply_update(&DictDelta { remove_entities: vec![EntityId(1)], ..Default::default() }, &tok)
             .expect("update");
         // The old epoch still answers identically.
-        assert_eq!(old.extract_all(&doc, 0.8), before);
+        assert_eq!(old.extract(&doc, 0.8), before);
         // The new epoch no longer reports the removed entity.
-        assert!(engine.snapshot().extract_all(&doc, 0.8).iter().all(|m| m.entity != EntityId(1)));
+        assert!(engine.snapshot().extract(&doc, 0.8).iter().all(|m| m.entity != EntityId(1)));
     }
 
     #[test]
@@ -646,7 +647,7 @@ mod tests {
             let mut int2 = g1.interner().clone();
             for text in ["eth zurich", "uq australia", "purdue university usa"] {
                 let doc = Document::parse(text, &tok, &mut int2);
-                assert_eq!(g2.extract_all(&doc, 0.7), g1.extract_all(&doc, 0.7), "shards={override_n:?} doc={text}");
+                assert_eq!(g2.extract(&doc, 0.7), g1.extract(&doc, 0.7), "shards={override_n:?} doc={text}");
             }
         }
     }
@@ -658,11 +659,18 @@ mod tests {
         let generation = engine.snapshot();
         let mut int2 = generation.interner().clone();
         let doc = Document::parse("purdue university united states", &tok, &mut int2);
-        let _ = generation.extract_limited(&doc, 0.8, &ExtractLimits::UNLIMITED, None);
+        let _ = generation.extract(&doc, 0.8);
         let stats = generation.shard_stats();
         assert_eq!(stats.len(), 4);
         assert!(stats.iter().all(|s| s.served == 1), "every shard answers every request: {stats:?}");
         assert_eq!(stats.iter().map(|s| s.entities).sum::<usize>(), 5);
+        // A top-k query runs the pruned scan in every shard, counted alike.
+        let query = Query { top_k: Some(1), ..Query::new(generation.config(), 0.8) };
+        let out = generation.query(&doc, &query, &mut ExtractScratch::new()).to_outcome();
+        let after = generation.shard_stats();
+        assert!(after.iter().all(|s| s.served == 2), "every shard answers a top-k request: {after:?}");
+        let scanned: u64 = after.iter().zip(&stats).map(|(a, b)| a.candidates - b.candidates).sum();
+        assert_eq!(scanned, out.stats.candidates);
     }
 
     #[test]
@@ -684,7 +692,7 @@ mod tests {
         assert_eq!(two_phase.generation_id(), 1);
         let mut int2 = prepared.interner().clone();
         let doc = Document::parse("eth zurich switzerland", &tok, &mut int2);
-        assert!(two_phase.snapshot().extract_all(&doc, 0.7).is_empty(), "new entity invisible before activate");
+        assert!(two_phase.snapshot().extract(&doc, 0.7).is_empty(), "new entity invisible before activate");
 
         let activated = two_phase.activate(2).expect("activate");
         assert_eq!(activated.id(), 2);
@@ -694,8 +702,8 @@ mod tests {
             let doc = Document::parse(text, &tok, &mut int2);
             for tau in [0.6, 0.9] {
                 assert_eq!(
-                    two_phase.snapshot().extract_all(&doc, tau),
-                    direct.snapshot().extract_all(&doc, tau),
+                    two_phase.snapshot().extract(&doc, tau),
+                    direct.snapshot().extract(&doc, tau),
                     "two-phase must serve exactly what a direct apply serves: doc={text} tau={tau}"
                 );
             }
@@ -754,9 +762,9 @@ mod tests {
         let generation = engine.activate(2).expect("activate");
         let mut int2 = generation.interner().clone();
         let doc = Document::parse("second", &tok, &mut int2);
-        assert!(!generation.extract_all(&doc, 1.0).is_empty());
+        assert!(!generation.extract(&doc, 1.0).is_empty());
         let doc = Document::parse("first", &tok, &mut int2);
-        assert!(generation.extract_all(&doc, 1.0).is_empty());
+        assert!(generation.extract(&doc, 1.0).is_empty());
     }
 
     #[test]
@@ -777,7 +785,7 @@ mod tests {
             let mut int2 = g.interner().clone();
             for doc in docs(&mut int2, &tok) {
                 for tau in [0.6, 0.8, 1.0] {
-                    assert_eq!(g.extract_all(&doc, tau), engine.snapshot().extract_all(&doc, tau), "n={n} tau={tau}");
+                    assert_eq!(g.extract(&doc, tau), engine.snapshot().extract(&doc, tau), "n={n} tau={tau}");
                 }
             }
         }
@@ -795,7 +803,7 @@ mod tests {
         assert!(g.shards.iter().all(|s| !s.dd.is_frozen()), "re-bucketed shards live on the heap");
         let mut int2 = g.interner().clone();
         for doc in docs(&mut int2, &tok) {
-            assert_eq!(g.extract_all(&doc, 0.7), engine.snapshot().extract_all(&doc, 0.7));
+            assert_eq!(g.extract(&doc, 0.7), engine.snapshot().extract(&doc, 0.7));
         }
     }
 
@@ -825,7 +833,7 @@ mod tests {
         let fresh = ShardedEngine::build(dict2, &rules, &int2, AeetesConfig::default(), 8);
         for text in ["brand new entity", "uq australia", "purdue university united states"] {
             let doc = Document::parse(text, &tok, &mut int2);
-            assert_eq!(after.extract_all(&doc, 0.7), fresh.snapshot().extract_all(&doc, 0.7), "doc={text}");
+            assert_eq!(after.extract(&doc, 0.7), fresh.snapshot().extract(&doc, 0.7), "doc={text}");
         }
     }
 
@@ -846,7 +854,7 @@ mod tests {
         let g = again.snapshot();
         let mut int2 = g.interner().clone();
         let doc = Document::parse("eth zurich", &tok, &mut int2);
-        assert!(!g.extract_all(&doc, 1.0).is_empty(), "the re-frozen artifact carries the delta");
+        assert!(!g.extract(&doc, 1.0).is_empty(), "the re-frozen artifact carries the delta");
     }
 
     #[test]
@@ -856,7 +864,7 @@ mod tests {
         let g1 = engine.snapshot();
         let mut int2 = g1.interner().clone();
         let doc = Document::parse("uq australia", &tok, &mut int2);
-        let _ = g1.extract_all(&doc, 0.8);
+        let _ = g1.extract(&doc, 0.8);
         let g2 = engine
             .apply_update(&DictDelta { add_entities: vec!["new one".into()], ..Default::default() }, &tok)
             .expect("update");

@@ -1,8 +1,7 @@
 //! Immutable generations: one fully-built sharded engine state.
 
 use aeetes_core::{
-    extract_segment_scratched, AeetesConfig, CancelToken, ExtractBackend, ExtractLimits, ExtractOutcome, ExtractScratch, ExtractStats, Match,
-    ScratchOutcome, SegmentScratch,
+    extract_segment, select_top_k, AeetesConfig, ExtractBackend, ExtractScratch, ExtractStats, Match, Query, ScratchOutcome, SegmentScratch,
 };
 use aeetes_index::{ClusteredIndex, GlobalOrder};
 use aeetes_pool::Pool;
@@ -281,13 +280,6 @@ impl Generation {
         self.shards.len()
     }
 
-    /// Dictionary-global `(min, max)` distinct-set length range — the same
-    /// range every shard extraction is bounded by, so streaming callers
-    /// derive the same tail retention a monolithic engine would.
-    pub fn set_len_range(&self) -> Option<(usize, usize)> {
-        self.set_len_bounds
-    }
-
     /// Total derived variants across all shards.
     pub fn variants(&self) -> usize {
         self.shards.iter().map(|s| s.dd.len()).sum()
@@ -308,33 +300,13 @@ impl Generation {
             .collect()
     }
 
-    fn run_shard_into(
-        &self,
-        shard: &Shard,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        seg: &mut SegmentScratch,
-    ) -> (bool, ExtractStats) {
+    fn run_shard_into<'s>(&self, shard: &Shard, doc: &Document, query: &Query, seg: &'s mut SegmentScratch) -> ScratchOutcome<'s> {
         let start = std::time::Instant::now();
-        let (truncated, stats) = extract_segment_scratched(
-            &shard.index,
-            &shard.dd,
-            doc,
-            tau,
-            self.config.strategy,
-            self.config.metric,
-            false,
-            self.set_len_bounds,
-            limits,
-            cancel,
-            seg,
-        );
+        let out = extract_segment(&shard.index, &shard.dd, doc, query, self.set_len_bounds, seg);
         shard.extract_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shard.served.fetch_add(1, Ordering::Relaxed);
-        shard.candidates.fetch_add(stats.candidates, Ordering::Relaxed);
-        (truncated, stats)
+        shard.candidates.fetch_add(out.stats.candidates, Ordering::Relaxed);
+        out
     }
 }
 
@@ -351,24 +323,11 @@ impl ExtractBackend for Generation {
         self.set_len_bounds
     }
 
-    fn extract_limited(&self, doc: &Document, tau: f64, limits: &ExtractLimits, cancel: Option<&CancelToken>) -> ExtractOutcome {
-        self.extract_scratched(doc, tau, limits, cancel, &mut ExtractScratch::new()).to_outcome()
-    }
-
-    fn extract_scratched<'s>(
-        &self,
-        doc: &Document,
-        tau: f64,
-        limits: &ExtractLimits,
-        cancel: Option<&CancelToken>,
-        scratch: &'s mut ExtractScratch,
-    ) -> ScratchOutcome<'s> {
+    fn query<'s>(&self, doc: &Document, query: &Query, scratch: &'s mut ExtractScratch) -> ScratchOutcome<'s> {
         if self.shards.len() == 1 {
             // A single shard carries the full derivation: local variant ids
             // coincide with global ones, so no merge pass is needed.
-            let seg = scratch.segment(0);
-            let (truncated, stats) = self.run_shard_into(&self.shards[0], doc, tau, limits, cancel, seg);
-            return ScratchOutcome { matches: seg.matches(), truncated, stats, stages: *seg.stages() };
+            return self.run_shard_into(&self.shards[0], doc, query, scratch.segment(0));
         }
         let n = self.shards.len();
         let (segs, merged) = scratch.split(n);
@@ -379,12 +338,12 @@ impl ExtractBackend for Generation {
         // bit-identical either way (the shard property suite is the
         // oracle); only the parallelism differs.
         let cost = doc.tokens().len() as u64 * self.live_shards as u64;
-        let threshold = limits.fanout_threshold.unwrap_or(DEFAULT_FANOUT_THRESHOLD);
+        let threshold = query.limits.fanout_threshold.unwrap_or(DEFAULT_FANOUT_THRESHOLD);
         let pool = Pool::global();
         if pool.workers() <= 1 || cost < threshold {
             self.routing.sequential.fetch_add(1, Ordering::Relaxed);
             for (shard, seg) in self.shards.iter().zip(segs.iter_mut()) {
-                self.run_shard_into(shard, doc, tau, limits, cancel, seg);
+                self.run_shard_into(shard, doc, query, seg);
             }
         } else {
             self.routing.fanout.fetch_add(1, Ordering::Relaxed);
@@ -405,34 +364,39 @@ impl ExtractBackend for Generation {
             let base = SegPtr(segs.as_mut_ptr());
             let panicked = pool.fan_out(n, |i| {
                 let seg = unsafe { &mut *base.seg(i) };
-                self.run_shard_into(&self.shards[i], doc, tau, limits, cancel, seg);
+                self.run_shard_into(&self.shards[i], doc, query, seg);
             });
             assert!(!panicked, "shard extraction panicked");
         }
         // Merge per-shard results: remap variant ids into the global derived
-        // space, restore the stable `(span, entity)` order, re-apply the
-        // match cap across the union (each shard only capped its own
-        // stream). Origins are disjoint across shards, so no deduplication
-        // is needed and sort keys never tie across shards. Each shard's
-        // outcome is read back from its segment scratch — no result
-        // channel on either routing path.
+        // space, restore the stable `(span, entity)` order — or, for top-k,
+        // keep the best k of the union — and re-apply the match cap across
+        // the union (each shard only capped its own stream). Origins are
+        // disjoint across shards, so no deduplication is needed, sort keys
+        // never tie across shards, and every member of the global top-k is
+        // in its own shard's top-k. Each shard's outcome is read back from
+        // its segment scratch — no result channel on either routing path.
         merged.clear();
         let mut truncated = false;
         let mut stats = ExtractStats::default();
         let mut stages = aeetes_core::StageSlots::default();
         for (shard, seg) in self.shards.iter().zip(segs.iter()) {
-            truncated |= seg.truncated();
-            stats += seg.stats();
-            stages.merge(seg.stages());
-            for &m in seg.matches() {
+            let out = seg.outcome();
+            truncated |= out.truncated;
+            stats += out.stats;
+            stages.merge(&out.stages);
+            for &m in out.matches {
                 let local = shard.dd.variant_range(m.entity).start;
                 let mut m = m;
                 m.best_variant = DerivedId(self.global_base[m.entity.idx()] + (m.best_variant.0 - local));
                 merged.push(m);
             }
         }
-        merged.sort_unstable_by_key(Match::sort_key);
-        if let Some(cap) = limits.max_matches {
+        match query.top_k {
+            Some(k) => select_top_k(merged, k),
+            None => merged.sort_unstable_by_key(Match::sort_key),
+        }
+        if let Some(cap) = query.limits.max_matches {
             if merged.len() > cap {
                 merged.truncate(cap);
                 truncated = true;

@@ -84,7 +84,7 @@ fn mmap_failure_falls_back_to_heap_with_identical_results() {
     let mut heap_int = heap_gen.interner().clone();
     let heap_doc = Document::parse(text, &tokenizer, &mut heap_int);
     for tau in [0.6, 0.8, 1.0] {
-        assert_eq!(heap_gen.extract_all(&heap_doc, tau), source_gen.extract_all(&src_doc, tau), "tau={tau}");
+        assert_eq!(heap_gen.extract(&heap_doc, tau), source_gen.extract(&src_doc, tau), "tau={tau}");
     }
     std::fs::remove_file(&path).ok();
 }

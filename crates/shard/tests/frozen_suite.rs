@@ -86,11 +86,7 @@ fn frozen_equals_monolithic_across_strategies_and_metrics() {
                         let generation = frozen.snapshot();
                         let mut doc_int = generation.interner().clone();
                         let doc = Document::parse(text, &tokenizer, &mut doc_int);
-                        assert_eq!(
-                            generation.extract_all(&doc, tau),
-                            expected,
-                            "{label} strategy={strategy:?} metric={metric:?} tau={tau} doc={text:?}"
-                        );
+                        assert_eq!(generation.extract(&doc, tau), expected, "{label} strategy={strategy:?} metric={metric:?} tau={tau} doc={text:?}");
                     }
                 }
             }

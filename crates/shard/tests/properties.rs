@@ -1,20 +1,23 @@
 //! Property tests: the sharded engine is observationally identical to the
 //! monolithic engine — same matches, same scores, same variant ids — for
-//! random dictionaries, rules and documents, across all four filtering
-//! strategies and shard counts {1, 2, 7, 16}; updates applied as deltas
+//! random dictionaries, weighted rules, documents and queries (metric,
+//! weighting, top-k), strategies and shard counts; updates applied as deltas
 //! equal a fresh rebuild of the updated dictionary; persistence through the
 //! frozen v5 format round-trips.
 
-use aeetes_core::{open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, Strategy};
+use aeetes_core::{open_frozen_bytes, Aeetes, AeetesConfig, ExtractBackend, ExtractScratch, Query, Strategy};
 use aeetes_rules::{DerivedDictionary, RuleSet};
 use aeetes_shard::{DictDelta, RuleDelta, ShardedEngine};
+use aeetes_sim::Metric;
 use aeetes_text::{Dictionary, Document, EntityId, Interner, Tokenizer};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 const STRATEGIES: [Strategy; 4] = [Strategy::Simple, Strategy::Skip, Strategy::Dynamic, Strategy::Lazy];
+/// Rule weights a generated rule picks from by index.
+const WEIGHTS: [f64; 3] = [1.0, 0.9, 0.6];
 
-fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, RuleSet, Interner, Tokenizer) {
+fn corpus(entities: &[String], rule_pairs: &[(String, String, usize)]) -> (Dictionary, RuleSet, Interner, Tokenizer) {
     let mut interner = Interner::new();
     let tokenizer = Tokenizer::default();
     let mut dict = Dictionary::new();
@@ -22,18 +25,20 @@ fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, 
         dict.push(e, &tokenizer, &mut interner);
     }
     let mut rules = RuleSet::new();
-    for (l, r) in rule_pairs {
-        let _ = rules.push_str(l, r, &tokenizer, &mut interner);
+    for (l, r, w) in rule_pairs {
+        let _ = rules.push_weighted_str(l, r, WEIGHTS[*w], &tokenizer, &mut interner);
     }
     (dict, rules, interner, tokenizer)
 }
 
 proptest! {
     /// The sharded engine returns bit-identical match sets to the single
-    /// engine for every strategy and shard count.
+    /// engine for every strategy and shard count, and — on 1, 2 and 7
+    /// shards — for every query shape: each metric, weighted or not, all
+    /// matches or the pruned top 1 or 3.
     #[test]
     fn sharded_equals_monolithic(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..8),
-                                 rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..4),
+                                 rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}", 0usize..3), 0..4),
                                  doc_text in "[a-h]( [a-h]){0,25}") {
         let (dict, rules, mut interner, tokenizer) = corpus(&entities, &rule_pairs);
         let doc = Document::parse(&doc_text, &tokenizer, &mut interner);
@@ -45,9 +50,23 @@ proptest! {
                 let generation = sharded.snapshot();
                 for tau in [0.6, 0.8, 1.0] {
                     prop_assert_eq!(
-                        generation.extract_all(&doc, tau),
+                        generation.extract(&doc, tau),
                         mono.extract(&doc, tau),
                         "strategy={:?} shards={} tau={}", strategy, n, tau
+                    );
+                }
+            }
+        }
+        let mono = Aeetes::build(dict.clone(), &rules, &interner, AeetesConfig::default());
+        for n in [1, 2, 7] {
+            let generation = ShardedEngine::build(dict.clone(), &rules, &interner, AeetesConfig::default(), n).snapshot();
+            for (metric, weighted) in Metric::ALL.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+                for top_k in [None, Some(1), Some(3)] {
+                    let query = Query { metric, weighted, top_k, ..Query::new(mono.config(), 0.6) };
+                    prop_assert_eq!(
+                        generation.query(&doc, &query, &mut ExtractScratch::new()).matches,
+                        mono.query(&doc, &query, &mut ExtractScratch::new()).matches,
+                        "shards={} metric={:?} weighted={} top_k={:?}", n, metric, weighted, top_k
                     );
                 }
             }
@@ -95,7 +114,7 @@ proptest! {
             let mono_doc = Document::parse(&doc_text, &tokenizer, &mut mono_doc_int);
             for tau in [0.6, 0.9] {
                 prop_assert_eq!(
-                    generation.extract_all(&doc, tau),
+                    generation.extract(&doc, tau),
                     mono.extract(&mono_doc, tau),
                     "shards={} tau={}", n, tau
                 );
@@ -108,7 +127,7 @@ proptest! {
     /// identically.
     #[test]
     fn sharded_persistence_round_trip(entities in proptest::collection::vec("[a-d]( [a-d]){0,3}", 1..6),
-                                      rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}"), 0..3),
+                                      rule_pairs in proptest::collection::vec(("[a-d]", "[e-h]( [e-h]){0,2}", 0usize..3), 0..3),
                                       doc_text in "[a-h]( [a-h]){0,25}") {
         let (dict, rules, interner, tokenizer) = corpus(&entities, &rule_pairs);
         let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 4);
@@ -117,13 +136,13 @@ proptest! {
         let generation = engine.snapshot();
         let mut doc_int = generation.interner().clone();
         let doc = Document::parse(&doc_text, &tokenizer, &mut doc_int);
-        let expected = generation.extract_all(&doc, 0.7);
+        let expected = generation.extract(&doc, 0.7);
 
         let same = ShardedEngine::from_frozen(open(), None).expect("same count");
-        prop_assert_eq!(same.snapshot().extract_all(&doc, 0.7), expected.clone());
+        prop_assert_eq!(same.snapshot().extract(&doc, 0.7), expected.clone());
 
         let resharded = ShardedEngine::from_frozen(open(), Some(9)).expect("resharded");
-        prop_assert_eq!(resharded.snapshot().extract_all(&doc, 0.7), expected.clone());
+        prop_assert_eq!(resharded.snapshot().extract(&doc, 0.7), expected.clone());
 
         let (single, mut single_int) = open().into_single().expect("collapse");
         let doc2 = Document::parse(&doc_text, &tokenizer, &mut single_int);

@@ -7,7 +7,7 @@
 //! branch is reachable even on a single-core runner (first use wins, so
 //! all tests in this binary must agree on the count).
 
-use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, ExtractLimits, ExtractOutcome, ExtractScratch, Query, Strategy};
 use aeetes_pool::Pool;
 use aeetes_rules::RuleSet;
 use aeetes_shard::{DictDelta, ShardedEngine};
@@ -38,6 +38,10 @@ fn corpus(entities: &[String], rule_pairs: &[(String, String)]) -> (Dictionary, 
     (dict, rules, interner, tokenizer)
 }
 
+fn run(engine: &dyn ExtractBackend, doc: &Document, query: &Query) -> ExtractOutcome {
+    engine.query(doc, query, &mut ExtractScratch::new()).to_outcome()
+}
+
 #[test]
 fn threshold_routes_by_cost_and_counts() {
     assert!(pool().workers() > 1, "fan-out branch must be reachable");
@@ -45,17 +49,17 @@ fn threshold_routes_by_cost_and_counts() {
     let doc = Document::parse("a b c d e f g a b c", &tokenizer, &mut interner);
     let engine = ShardedEngine::build(dict, &rules, &interner, AeetesConfig::default(), 4);
     let generation = engine.snapshot();
-    let expected = generation.extract_all(&doc, 0.7);
+    let expected = generation.extract(&doc, 0.7);
 
     let fan_out = ExtractLimits { fanout_threshold: Some(0), ..ExtractLimits::UNLIMITED };
     let sequential = ExtractLimits { fanout_threshold: Some(u64::MAX), ..ExtractLimits::UNLIMITED };
 
     let (seq0, fan0) = generation.routing_stats();
-    assert_eq!(generation.extract_limited(&doc, 0.7, &fan_out, None).matches, expected);
+    assert_eq!(run(&*generation, &doc, &Query { limits: fan_out, ..Query::new(generation.config(), 0.7) }).matches, expected);
     let (seq1, fan1) = generation.routing_stats();
     assert_eq!((seq1, fan1), (seq0, fan0 + 1), "threshold 0 must fan out");
 
-    assert_eq!(generation.extract_limited(&doc, 0.7, &sequential, None).matches, expected);
+    assert_eq!(run(&*generation, &doc, &Query { limits: sequential, ..Query::new(generation.config(), 0.7) }).matches, expected);
     let (seq2, fan2) = generation.routing_stats();
     assert_eq!((seq2, fan2), (seq1 + 1, fan1), "threshold MAX must stay sequential");
 }
@@ -69,7 +73,7 @@ fn routing_counters_survive_generation_turnover() {
 
     let limits = ExtractLimits { fanout_threshold: Some(u64::MAX), ..ExtractLimits::UNLIMITED };
     let before = engine.snapshot();
-    before.extract_limited(&doc, 0.7, &limits, None);
+    run(&*before, &doc, &Query { limits, ..Query::new(before.config(), 0.7) });
     let (seq_before, _) = before.routing_stats();
     assert!(seq_before >= 1);
 
@@ -99,15 +103,18 @@ proptest! {
         let sharded = ShardedEngine::build(dict, &rules, &interner, config, shards);
         let generation = sharded.snapshot();
         for tau in [0.6, 0.8, 1.0] {
-            let expected = mono.extract_limited(&doc, tau, &ExtractLimits::UNLIMITED, None);
+            let expected = run(&mono, &doc, &Query::new(mono.config(), tau));
             for threshold in THRESHOLDS {
                 let limits = ExtractLimits { fanout_threshold: threshold, ..ExtractLimits::UNLIMITED };
-                let got = generation.extract_limited(&doc, tau, &limits, None);
+                let got = run(&*generation, &doc, &Query { limits, ..Query::new(generation.config(), tau) });
                 prop_assert_eq!(
                     &got.matches, &expected.matches,
                     "strategy={:?} shards={} tau={} threshold={:?}", strategy, shards, tau, threshold
                 );
                 prop_assert_eq!(got.truncated, expected.truncated);
+                // The pruned top-k scan routes the same way.
+                let top = Query { limits, top_k: Some(3), ..Query::new(mono.config(), tau) };
+                prop_assert_eq!(run(&*generation, &doc, &top).matches, run(&mono, &doc, &top).matches, "top-k threshold={:?}", threshold);
             }
         }
     }

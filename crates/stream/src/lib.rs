@@ -30,7 +30,7 @@
 //! retain their high-water capacity (asserted by the counting-allocator
 //! gate `zero_alloc_stream.rs`, mirroring core's `zero_alloc.rs`).
 
-use aeetes_core::{ExtractBackend, ExtractLimits, ExtractScratch};
+use aeetes_core::{ExtractBackend, ExtractScratch, Query};
 use aeetes_index::metric_window_bounds;
 use aeetes_rules::DerivedId;
 use aeetes_sim::Metric;
@@ -308,7 +308,7 @@ impl StreamExtractor {
             return; // nothing newly settled; every match would re-surface later
         }
         self.doc.assign_tokens(&self.tail);
-        let outcome = backend.extract_scratched(&self.doc, self.tau, &ExtractLimits::UNLIMITED, None, &mut self.scratch);
+        let outcome = backend.query(&self.doc, &Query::new(backend.config(), self.tau), &mut self.scratch);
         let cutoff = (watermark - self.base) as u32;
         for m in outcome.matches {
             if m.span.start >= cutoff {

@@ -7,7 +7,7 @@
 //! `String::from_utf8_lossy` of the whole input, which is what the
 //! incremental decoder promises to reproduce.
 
-use aeetes_core::{Aeetes, AeetesConfig, Match, Strategy};
+use aeetes_core::{Aeetes, AeetesConfig, ExtractBackend, Match, Strategy};
 use aeetes_rules::RuleSet;
 use aeetes_stream::{StreamExtractor, StreamMatch};
 use aeetes_text::{Dictionary, Document, Interner, Tokenizer};

@@ -8,7 +8,7 @@
 
 use aeetes::core::{extract_fuzzy, FuzzyConfig};
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
-use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, RuleSet};
+use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, ExtractBackend, RuleSet};
 
 fn main() {
     // A small PubMed-like corpus (see aeetes-datagen for the calibration).

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --example institution_extraction`
 
 use aeetes::baselines::{ExactMatcher, Faerie};
-use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, Document, Interner, RuleSet, Tokenizer};
+use aeetes::{suppress_overlaps, Aeetes, AeetesConfig, Dictionary, Document, ExtractBackend, Interner, RuleSet, Tokenizer};
 
 fn main() {
     let mut interner = Interner::new();

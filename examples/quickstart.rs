@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use aeetes::{Aeetes, AeetesConfig, Dictionary, Document, Interner, RuleSet, Tokenizer};
+use aeetes::{Aeetes, AeetesConfig, Dictionary, Document, ExtractBackend, Interner, RuleSet, Tokenizer};
 
 fn main() {
     let mut interner = Interner::new();

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example rule_discovery`
 
 use aeetes::rules::{add_discovered, discover_abbreviations, DiscoveryConfig};
-use aeetes::{Aeetes, AeetesConfig, Dictionary, Document, Interner, RuleSet, Tokenizer};
+use aeetes::{Aeetes, AeetesConfig, Dictionary, Document, ExtractBackend, Interner, RuleSet, Tokenizer};
 
 fn main() {
     let mut interner = Interner::new();

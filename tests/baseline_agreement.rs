@@ -6,7 +6,7 @@
 use aeetes::baselines::Faerie;
 use aeetes::datagen::{generate, DatasetProfile};
 use aeetes::rules::{DeriveConfig, DerivedDictionary};
-use aeetes::{Aeetes, AeetesConfig};
+use aeetes::{Aeetes, AeetesConfig, ExtractBackend};
 
 #[test]
 fn faerier_and_aeetes_return_identical_pairs() {

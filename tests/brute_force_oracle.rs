@@ -3,10 +3,11 @@
 //! every substring of every admissible token length scored against every
 //! entity with the exact JaccAR of Definition 2.1.
 
+use aeetes::core::ExtractScratch;
 use aeetes::rules::{DeriveConfig, DerivedDictionary, RuleSet};
 use aeetes::sim::{sorted_set, JaccArVerifier};
 use aeetes::text::{Dictionary, Document, Interner, TokenId};
-use aeetes::{Aeetes, AeetesConfig, Strategy as ExtractStrategy};
+use aeetes::{Aeetes, AeetesConfig, ExtractBackend, Query, Strategy as ExtractStrategy};
 use proptest::prelude::*;
 
 /// A compact instance description drawn by proptest.
@@ -89,9 +90,9 @@ proptest! {
         let expected = brute_force(&dict, &dd, &doc, tau);
         for strategy in ExtractStrategy::ALL {
             let got: Vec<(u32, u32, u32, f64)> = engine
-                .extract_with(&doc, tau, strategy)
-                .0
-                .into_iter()
+                .query(&doc, &Query { strategy, ..Query::new(engine.config(), tau) }, &mut ExtractScratch::new())
+                .matches
+                .iter()
                 .map(|m| (m.span.start, m.span.len, m.entity.0, m.score))
                 .collect();
             prop_assert_eq!(

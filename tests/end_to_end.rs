@@ -2,8 +2,13 @@
 //! agree exactly, and every exact or synonym-rewritten gold mention must be
 //! recovered with a perfect score.
 
+use aeetes::core::ExtractScratch;
 use aeetes::datagen::{generate, DatasetProfile, MentionForm};
-use aeetes::{Aeetes, AeetesConfig, Strategy};
+use aeetes::{Aeetes, AeetesConfig, Document, ExtractBackend, Match, Query, Strategy};
+
+fn run(engine: &Aeetes, doc: &Document, query: &Query) -> Vec<Match> {
+    engine.query(doc, query, &mut ExtractScratch::new()).matches.to_vec()
+}
 
 fn engines() -> Vec<(Aeetes, aeetes::datagen::Dataset)> {
     DatasetProfile::all()
@@ -21,9 +26,9 @@ fn all_strategies_agree_on_every_corpus() {
     for (engine, data) in engines() {
         for doc in &data.documents {
             for tau in [0.7, 0.8, 0.9, 1.0] {
-                let baseline = engine.extract_with(doc, tau, Strategy::Simple).0;
+                let baseline = run(&engine, doc, &Query { strategy: Strategy::Simple, ..Query::new(engine.config(), tau) });
                 for strategy in [Strategy::Skip, Strategy::Dynamic, Strategy::Lazy] {
-                    let got = engine.extract_with(doc, tau, strategy).0;
+                    let got = run(&engine, doc, &Query { strategy, ..Query::new(engine.config(), tau) });
                     assert_eq!(baseline, got, "{}: strategy {strategy} at tau={tau}", data.name);
                 }
             }
@@ -113,7 +118,7 @@ fn weighted_defaults_to_unweighted_with_unit_weights() {
     for (engine, data) in engines() {
         let doc = &data.documents[0];
         let plain = engine.extract(doc, 0.8);
-        let (weighted, _) = engine.extract_weighted(doc, 0.8);
+        let weighted = run(&engine, doc, &Query { weighted: true, ..Query::new(engine.config(), 0.8) });
         assert_eq!(plain, weighted, "{}: all generated rules have weight 1.0", data.name);
     }
 }

@@ -3,10 +3,11 @@
 //! enumeration of the rule-based metric
 //! `max over variants of metric(variant set, substring set)`.
 
+use aeetes::core::ExtractScratch;
 use aeetes::rules::{DeriveConfig, DerivedDictionary, RuleSet};
 use aeetes::sim::{sorted_set, Metric};
 use aeetes::text::{Dictionary, Document, Interner, TokenId};
-use aeetes::{Aeetes, AeetesConfig};
+use aeetes::{Aeetes, AeetesConfig, ExtractBackend, Query};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -94,9 +95,9 @@ proptest! {
         for metric in Metric::ALL {
             let expected = brute_force(&dict, &dd, &doc, tau, metric);
             let got: Vec<(u32, u32, u32, f64)> = engine
-                .extract_with_metric(&doc, tau, metric)
-                .0
-                .into_iter()
+                .query(&doc, &Query { metric, ..Query::new(engine.config(), tau) }, &mut ExtractScratch::new())
+                .matches
+                .iter()
                 .map(|m| (m.span.start, m.span.len, m.entity.0, m.score))
                 .collect();
             prop_assert_eq!(got.len(), expected.len(), "{} tau {}: {:?} vs {:?}", metric, tau, got, expected);
