@@ -555,6 +555,7 @@ fn two_segment_artifact_extracts_like_one_segment() {
         &["--tau", "0.7"][..],
         &["--tau", "0.8", "--format", "jsonl"],
         &["--tau", "0.7", "--top-k", "2"],
+        &["--tau", "0.7", "--top-k", "2", "--threads", "2"],
         &["--tau", "0.7", "--best"],
     ] {
         let run = |engine: &str| {
@@ -566,5 +567,88 @@ fn two_segment_artifact_extracts_like_one_segment() {
         assert!(!expected.is_empty(), "{extra:?}: the corpus must produce matches");
         assert_eq!(run(&two), expected, "{extra:?}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs the `aeetes` binary with `stdin` piped in, returning its stdout; a
+/// non-zero exit fails.
+fn run_aeetes_stdin(args: &[&str], stdin: &str) -> String {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aeetes"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn aeetes");
+    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
+    let out = child.wait_with_output().expect("wait for aeetes");
+    assert!(out.status.success(), "aeetes {args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn extract_without_metric_flag_uses_the_artifacts_metric() {
+    use aeetes_core::{save_engine, Aeetes, AeetesConfig, ExtractBackend, ExtractScratch, Query};
+    use aeetes_rules::RuleSet;
+    use aeetes_sim::Metric;
+    use aeetes_text::{Dictionary, Document, Interner, Tokenizer};
+    let dir = workdir("saved-metric");
+    let tok = Tokenizer::default();
+    let mut int = Interner::new();
+    let mut dict = Dictionary::new();
+    for line in ORACLE_DICT.lines() {
+        dict.push(line, &tok, &mut int);
+    }
+    let mut rules = RuleSet::new();
+    for line in ORACLE_RULES.lines() {
+        let f: Vec<&str> = line.split('\t').collect();
+        rules
+            .push_weighted_str(f[0], f[1], f.get(2).map_or(1.0, |w| w.parse().unwrap()), &tok, &mut int)
+            .unwrap();
+    }
+    let config = AeetesConfig { metric: Metric::Dice, ..AeetesConfig::default() };
+    let engine = Aeetes::build(dict, &rules, &int, config);
+    let artifact = dir.join("dice.aeet");
+    fs::write(&artifact, save_engine(&engine, &int)).unwrap();
+    let artifact = artifact.display().to_string();
+    let docs = dir.join("docs.txt");
+    fs::write(&docs, ORACLE_DOCS).unwrap();
+    let docs = docs.display().to_string();
+
+    // Batch: no flag extracts under the saved Dice, `--metric` overrides it.
+    let run = |extra: &[&str]| {
+        let mut args = vec!["extract", "--engine", &artifact, "--docs", &docs, "--tau", "0.7"];
+        args.extend_from_slice(extra);
+        run_aeetes(&args)
+    };
+    let saved = run(&[]);
+    assert!(!saved.is_empty(), "the corpus must produce matches");
+    assert_eq!(saved, run(&["--metric", "dice"]));
+    assert_ne!(saved, run(&["--metric", "jaccard"]), "Dice and Jaccard must differ on this corpus for the check to bite");
+    assert_eq!(run(&["--threads", "2"]), saved);
+
+    // Stream: one document on stdin, rows `start len score entity bytes`,
+    // equal to the saved engine's own extraction of the same text.
+    let text = ORACLE_DOCS.replace('\n', " ");
+    let doc = Document::parse(&text, &tok, &mut int);
+    let row = |start: u32, len: u32, score: f64, entity: &str| format!("{start}\t{len}\t{score:.4}\t{entity}");
+    let expected: Vec<String> = engine
+        .extract(&doc, 0.7)
+        .iter()
+        .map(|m| row(m.span.start, m.span.len, m.score, engine.dictionary().record(m.entity).raw))
+        .collect();
+    let mut streamed: Vec<String> = run_aeetes_stdin(&["extract", "--engine", &artifact, "--stream", "--tau", "0.7"], &text)
+        .lines()
+        .map(|l| l.rsplit_once('\t').expect("byte range column").0.to_string())
+        .collect();
+    streamed.sort();
+    let mut sorted = expected.clone();
+    sorted.sort();
+    assert_eq!(streamed, sorted);
+    let jaccard = Query { metric: Metric::Jaccard, ..Query::new(engine.config(), 0.7) };
+    let jaccard = engine.query(&doc, &jaccard, &mut ExtractScratch::new()).matches.to_vec();
+    assert_ne!(jaccard, engine.extract(&doc, 0.7), "Dice and Jaccard must differ on the streamed text too");
     let _ = fs::remove_dir_all(&dir);
 }
