@@ -793,13 +793,7 @@ fn wal_compact(argv: &[String]) -> Result<i32, String> {
     let deltas: Vec<serde_json::Value> = replay
         .records
         .iter()
-        .map(|r| {
-            std::str::from_utf8(&r.payload)
-                .map_err(|e| format!("{path}: generation {} record: payload is not UTF-8: {e}", r.generation))
-                .and_then(|text| {
-                    serde_json::from_str(text).map_err(|e| format!("{path}: generation {} record: payload is not JSON: {e}", r.generation))
-                })
-        })
+        .map(|r| aeetes_cluster::wal::decode_record(std::path::Path::new(path), r))
         .collect::<Result<_, _>>()?;
     let (base, target) = (wal.base_generation(), wal.last_generation());
     compact_artifact(engine_path, &deltas, base, target)?;

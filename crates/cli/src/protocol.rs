@@ -47,106 +47,19 @@
 //! a client can lower its own budget but never raise it past the
 //! server-enforced ceiling.
 //!
-//! Error taxonomy (the `code` field), so clients can tell retryable from
-//! fatal conditions:
-//!
-//! | code          | meaning                                   | retry? |
-//! |---------------|-------------------------------------------|--------|
-//! | `bad_request` | malformed JSON / unknown type / bad field | no     |
-//! | `too_large`   | document or request line over the ceiling | no     |
-//! | `timeout`     | request expired before a worker ran it    | yes    |
-//! | `shedding`    | queue full or server draining             | yes    |
-//! | `internal`    | extraction panicked (isolated; see logs)  | no     |
-//! | `conflict`    | activate id ≠ prepared generation id      | no     |
+//! The error taxonomy (the `code` field, and whether a client may retry)
+//! lives in [`aeetes_cluster::wire`] beside the line framing and the line
+//! writer, so the fleet coordinator reads, writes and classifies lines
+//! with the same code. [`ErrorCode`], [`Reject`] and [`error_line`] are
+//! re-exported here.
+
+pub use aeetes_cluster::wire::{error_line, ErrorCode, Reject};
 
 use aeetes_core::ExtractLimits;
 use aeetes_shard::{DictDelta, RuleDelta};
 use aeetes_text::EntityId;
 use serde_json::{json, Value};
 use std::time::Duration;
-
-/// Structured error classes of the wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// Malformed JSON, missing/ill-typed fields, unknown request type, or a
-    /// pathological parameter (e.g. τ outside `(0, 1]`). Not retryable.
-    BadRequest,
-    /// The document (or the whole request line) exceeds a server ceiling.
-    /// Not retryable without shrinking the payload.
-    TooLarge,
-    /// The request's deadline expired while it waited in the queue.
-    /// Retryable.
-    Timeout,
-    /// Admission control refused the request: queue full or server
-    /// draining. Retryable (elsewhere or after backoff).
-    Shedding,
-    /// Extraction panicked; the fault was isolated to this request.
-    Internal,
-    /// Two-phase state mismatch: an `activate` named a generation that is
-    /// not the one prepared (or nothing is prepared). Not retryable — the
-    /// identical request will keep failing; the caller must re-prepare.
-    Conflict,
-}
-
-impl ErrorCode {
-    /// Every variant, for exhaustive table-driven tests and docs.
-    pub const ALL: [ErrorCode; 6] = [
-        ErrorCode::BadRequest,
-        ErrorCode::TooLarge,
-        ErrorCode::Timeout,
-        ErrorCode::Shedding,
-        ErrorCode::Internal,
-        ErrorCode::Conflict,
-    ];
-
-    /// The wire spelling of the code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::TooLarge => "too_large",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::Shedding => "shedding",
-            ErrorCode::Internal => "internal",
-            ErrorCode::Conflict => "conflict",
-        }
-    }
-
-    /// Parses the wire spelling back into a code (`None` for unknown
-    /// spellings — a coordinator talking to a newer replica treats those
-    /// as fatal rather than guessing retryability).
-    pub fn parse_wire(s: &str) -> Option<ErrorCode> {
-        ErrorCode::ALL.iter().copied().find(|c| c.as_str() == s)
-    }
-
-    /// Whether a client may retry the identical request and hope for a
-    /// different answer.
-    ///
-    /// The mapping is deliberately an exhaustive `match` (no `_` arm): a
-    /// new error code cannot compile without an explicit, reviewed
-    /// retryability decision — coordinators build failover on top of this.
-    pub fn retryable(self) -> bool {
-        match self {
-            // The request itself is defective; an identical retry cannot
-            // succeed anywhere.
-            ErrorCode::BadRequest => false,
-            // The payload exceeds a server ceiling; retrying without
-            // shrinking it fails identically.
-            ErrorCode::TooLarge => false,
-            // The deadline expired while queued: another (less loaded)
-            // server, or the same one a moment later, may answer in time.
-            ErrorCode::Timeout => true,
-            // Admission control refused: queue full or draining. Elsewhere
-            // or after backoff the same request is fine.
-            ErrorCode::Shedding => true,
-            // Extraction panicked on this input; the same input will very
-            // likely panic again on any replica of the same build.
-            ErrorCode::Internal => false,
-            // Two-phase state mismatch; the caller must change the request
-            // (re-prepare), not repeat it.
-            ErrorCode::Conflict => false,
-        }
-    }
-}
 
 /// Server-enforced request ceilings. Client-requested budgets are clamped
 /// to these; requests exceeding hard size ceilings are rejected.
@@ -273,24 +186,6 @@ pub enum Request {
     },
     /// Begin graceful drain (answered inline).
     Shutdown(Value),
-}
-
-/// A request that could not be accepted, carrying everything needed to
-/// build the error response.
-#[derive(Debug)]
-pub struct Reject {
-    /// Echoed id (``null`` when the line was too broken to recover one).
-    pub id: Value,
-    /// Error class.
-    pub code: ErrorCode,
-    /// Human-oriented detail.
-    pub message: String,
-}
-
-impl Reject {
-    fn new(id: Value, code: ErrorCode, message: impl Into<String>) -> Self {
-        Reject { id, code, message: message.into() }
-    }
 }
 
 /// Parses and validates one request line against the server ceilings.
@@ -508,20 +403,6 @@ fn optional_u64(id: &Value, value: &Value, field: &str) -> Result<Option<u64>, R
     }
 }
 
-/// Serializes an error (or shedding) response line. Shedding gets its own
-/// top-level status so naive clients checking only `status` still back off.
-pub fn error_line(reject: &Reject) -> String {
-    let status = if reject.code == ErrorCode::Shedding { "shedding" } else { "error" };
-    json!({
-        "id": reject.id,
-        "status": status,
-        "code": reject.code.as_str(),
-        "retryable": reject.code.retryable(),
-        "message": reject.message,
-    })
-    .to_string()
-}
-
 /// Serializes a successful extraction response line.
 pub fn ok_line(id: &Value, matches: Value, truncated: bool) -> String {
     json!({
@@ -692,55 +573,6 @@ mod tests {
         assert_eq!(req.add_rules[1].2, 0.5);
     }
 
-    /// The documented retryability contract, written as its own exhaustive
-    /// `match`: adding an `ErrorCode` variant fails to compile here (and in
-    /// `retryable()` itself) until someone makes — and documents — an
-    /// explicit retry decision for it. Coordinator failover is built on
-    /// this mapping, so it must never change by accident or by default.
-    #[test]
-    fn every_error_code_has_an_explicit_retryable_mapping() {
-        fn documented(code: ErrorCode) -> (bool, &'static str) {
-            match code {
-                ErrorCode::BadRequest => (false, "bad_request"),
-                ErrorCode::TooLarge => (false, "too_large"),
-                ErrorCode::Timeout => (true, "timeout"),
-                ErrorCode::Shedding => (true, "shedding"),
-                ErrorCode::Internal => (false, "internal"),
-                ErrorCode::Conflict => (false, "conflict"),
-            }
-        }
-        assert_eq!(ErrorCode::ALL.len(), 6, "ALL must enumerate every variant");
-        for code in ErrorCode::ALL {
-            let (retry, wire) = documented(code);
-            assert_eq!(code.retryable(), retry, "{wire}: retryable() diverged from the documented contract");
-            assert_eq!(code.as_str(), wire, "wire spelling diverged");
-            assert_eq!(ErrorCode::parse_wire(wire), Some(code), "parse_wire must round-trip {wire}");
-            // The serialized error line must agree with the enum, so wire
-            // clients (the fleet coordinator) see the same contract.
-            let line = error_line(&Reject::new(Value::Null, code, "x"));
-            let v: Value = serde_json::from_str(&line).unwrap();
-            assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(retry), "{wire}");
-            assert_eq!(v.get("code").and_then(Value::as_str), Some(wire));
-        }
-        assert_eq!(ErrorCode::parse_wire("no_such_code"), None);
-    }
-
-    /// The coordinator cannot depend on this crate (the dependency points
-    /// the other way), so it carries its own copy of the retryability
-    /// predicate keyed on wire spellings. Pin the two against each other:
-    /// if either side changes, this fails before a fleet misroutes.
-    #[test]
-    fn cluster_retryability_matches_protocol() {
-        for code in ErrorCode::ALL {
-            assert_eq!(
-                aeetes_cluster::retryable_code(code.as_str()),
-                code.retryable(),
-                "{}: aeetes_cluster::retryable_code diverged from ErrorCode::retryable",
-                code.as_str()
-            );
-        }
-    }
-
     #[test]
     fn prepare_parses_like_reload() {
         let r = parse(r#"{"id":9,"type":"prepare","add_entities":["eth zurich"]}"#).unwrap();
@@ -815,18 +647,76 @@ mod tests {
         assert!(parse_delta(&json!({"add_rules": [{"lhs": "a"}]})).is_err());
     }
 
-    #[test]
-    fn error_line_shape() {
-        let line = error_line(&Reject::new(Value::Null, ErrorCode::Shedding, "queue full"));
-        let v = serde_json::from_str(&line).unwrap();
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("shedding"));
-        assert_eq!(v.get("code").and_then(Value::as_str), Some("shedding"));
-        assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(true));
+    /// Request-shaped field values: right and wrong types, edge numbers.
+    const VALUES: [&str; 14] = [
+        "0",
+        "-1",
+        "0.5",
+        "1.5",
+        "1e308",
+        "18446744073709551616",
+        "true",
+        "null",
+        "\"x\"",
+        "\"\"",
+        "[]",
+        "[1,\"a\"]",
+        "{}",
+        "[{\"lhs\":\"a\"}]",
+    ];
+    const FIELDS: [&str; 14] = [
+        "id",
+        "doc",
+        "tau",
+        "best",
+        "timeout_ms",
+        "max_matches",
+        "max_candidates",
+        "top_k",
+        "stream",
+        "verb",
+        "text",
+        "generation",
+        "add_entities",
+        "add_rules",
+    ];
+    const TYPES: [&str; 11] = [
+        "extract", "stream", "health", "stats", "metrics", "reload", "prepare", "activate", "shutdown", "bogus", "",
+    ];
+    const VERBS: [&str; 5] = ["open", "feed", "flush", "close", "devour"];
 
-        let line = error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "nope"));
-        let v = serde_json::from_str(&line).unwrap();
-        assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
-        assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(false));
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary bytes — decoded as a server decodes a line — never
+        /// panic the parser; they parse or reject.
+        #[test]
+        fn parse_request_never_panics_on_arbitrary_bytes(bytes in proptest::collection::vec(0u8..=255, 0..200)) {
+            let line = String::from_utf8_lossy(&bytes);
+            let _ = parse_request(&line, &ceilings());
+        }
+
+        /// Well-formed JSON objects with arbitrary, often ill-typed fields
+        /// reach every validation branch; none panics, and a rejection of
+        /// a line that names an id echoes it.
+        #[test]
+        fn parse_request_never_panics_on_request_shaped_objects(
+            ty in 0usize..TYPES.len(),
+            verb in 0usize..VERBS.len(),
+            fields in proptest::collection::vec((0usize..FIELDS.len(), 0usize..VALUES.len()), 0..8),
+            max_doc_bytes in 0usize..4,
+        ) {
+            let mut line = format!(r#"{{"type":"{}","verb":"{}""#, TYPES[ty], VERBS[verb]);
+            for (field, value) in &fields {
+                line.push_str(&format!(r#","{}":{}"#, FIELDS[*field], VALUES[*value]));
+            }
+            line.push('}');
+            let c = Ceilings { max_doc_bytes, ..Ceilings::default() };
+            if let Err(reject) = parse_request(&line, &c) {
+                let value: Value = serde_json::from_str(&line).unwrap();
+                proptest::prop_assert_eq!(&reject.id, value.get("id").unwrap_or(&Value::Null), "{}", line);
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@ use crate::protocol::{
     delta_value, error_line, ok_line, parse_delta, parse_request, Ceilings, ErrorCode, ExtractRequest, Reject, ReloadRequest, Request, StreamRequest,
     StreamVerb,
 };
+use aeetes_cluster::wal::{commit, decode_record, observe_size};
+use aeetes_cluster::wire::{respond, write_line, LineRead, LineReader, Sink};
 use aeetes_core::{select_top_k, suppress_overlaps, CancelToken, ExtractBackend, ExtractLimits, ExtractScratch, Match, Query, Stage, Wal};
 use aeetes_obs::{Counter, ExtractCounts, ExtractMetrics, Gauge, Histogram, MetricRegistry, StreamMetrics, WalMetrics};
 use aeetes_pool::Pool;
@@ -331,38 +333,6 @@ impl Shared {
         }
     }
 
-    /// Commits one activated delta to the WAL: append, then fsync, then —
-    /// and only then — may the caller ack. A failure latches `wal_failed`
-    /// (the delta stays applied in memory but is reported as *not*
-    /// acknowledged, so a restart legitimately comes back without it).
-    /// No-op without `--wal`.
-    fn wal_commit(&self, generation: u64, payload: &[u8]) -> Result<(), String> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let m = &self.metrics.wal;
-        let mut wal = wal.lock().unwrap_or_else(|p| p.into_inner());
-        let result = (|| {
-            wal.append(generation, payload)?;
-            let sync_started = Instant::now();
-            wal.sync()?;
-            m.fsync_nanos.observe_nanos(u64::try_from(sync_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            Ok::<(), aeetes_core::WalError>(())
-        })();
-        match result {
-            Ok(()) => {
-                m.appends.inc(1);
-                m.append_bytes.inc(payload.len() as u64);
-                m.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-                m.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
-                Ok(())
-            }
-            Err(e) => {
-                m.append_failures.inc(1);
-                self.wal_failed.store(true, Ordering::Relaxed);
-                Err(format!("wal append for generation {generation} failed: {e}"))
-            }
-        }
-    }
-
     /// The structured rejection for reload-family requests once the WAL has
     /// failed: durability can no longer be promised, so no further delta is
     /// accepted, while extraction continues on the current generation.
@@ -381,23 +351,6 @@ impl Shared {
             aeetes_obs::prometheus_text(&snapshot)
         }
     }
-}
-
-/// Where a response line goes: the requesting connection's write half (or
-/// stdout), serialized by a mutex so concurrent workers never interleave
-/// partial lines.
-type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Writes one response line. Write errors are swallowed: the client may
-/// have hung up, which must never take the server down.
-fn respond(sink: &Sink, line: &str) {
-    let mut w = match sink.lock() {
-        Ok(w) => w,
-        Err(poisoned) => poisoned.into_inner(), // a panicked writer still has a usable fd
-    };
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
 }
 
 /// A queued unit of extraction work.
@@ -431,14 +384,7 @@ fn worker_job(shared: &Shared, scratch: &mut ExtractScratch, job: Job) {
     // (`shedding`) rather than drop it, so counters always reconcile.
     if shared.draining.load(Ordering::Relaxed) && shared.cancel.is_cancelled() {
         shared.metrics.shed.inc(1);
-        respond(
-            &job.sink,
-            &error_line(&Reject {
-                id: job.req.id,
-                code: ErrorCode::Shedding,
-                message: "server drained before this request ran".into(),
-            }),
-        );
+        respond(&job.sink, &error_line(&Reject::new(job.req.id, ErrorCode::Shedding, "server drained before this request ran")));
         return;
     }
     let generation = shared.engine.snapshot();
@@ -467,11 +413,7 @@ fn worker_job(shared: &Shared, scratch: &mut ExtractScratch, job: Job) {
 fn run_job(shared: &Shared, generation: &Generation, interner: &mut Interner, scratch: &mut ExtractScratch, job: Job) {
     let now = Instant::now();
     if now >= job.expires {
-        let reject = Reject {
-            id: job.req.id,
-            code: ErrorCode::Timeout,
-            message: "deadline expired while queued".into(),
-        };
+        let reject = Reject::new(job.req.id, ErrorCode::Timeout, "deadline expired while queued");
         shared.metrics.failed.inc(1);
         respond(&job.sink, &error_line(&reject));
         return;
@@ -547,11 +489,7 @@ fn run_job(shared: &Shared, generation: &Generation, interner: &mut Interner, sc
         }
         Err(_) => {
             shared.metrics.failed.inc(1);
-            let reject = Reject {
-                id: job.req.id,
-                code: ErrorCode::Internal,
-                message: "extraction panicked; fault isolated to this request".into(),
-            };
+            let reject = Reject::new(job.req.id, ErrorCode::Internal, "extraction panicked; fault isolated to this request");
             respond(&job.sink, &error_line(&reject));
         }
     }
@@ -630,13 +568,13 @@ impl ConnStreams {
             StreamVerb::Open { tau } => {
                 if self.shared.draining.load(Ordering::Relaxed) {
                     m.shed.inc(1);
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::Shedding, message: "server is draining".into() }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::Shedding, "server is draining")));
                     return;
                 }
                 if self.streams.contains_key(&stream) {
                     m.failed.inc(1);
                     let msg = format!("stream {stream} is already open on this connection");
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: msg }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, msg)));
                     return;
                 }
                 // An open stream holds one admission slot until it closes:
@@ -645,7 +583,7 @@ impl ConnStreams {
                 if self.shared.queued.fetch_add(1, Ordering::SeqCst) >= self.shared.queue_cap {
                     self.shared.queued.fetch_sub(1, Ordering::SeqCst);
                     m.shed.inc(1);
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::Shedding, message: "request queue is full".into() }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::Shedding, "request queue is full")));
                     return;
                 }
                 let generation = self.shared.engine.snapshot();
@@ -668,7 +606,7 @@ impl ConnStreams {
             StreamVerb::Feed { text } => {
                 let Some(state) = self.streams.get_mut(&stream) else {
                     m.failed.inc(1);
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: format!("stream {stream} is not open") }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, format!("stream {stream} is not open"))));
                     return;
                 };
                 let shared = &self.shared;
@@ -699,7 +637,7 @@ impl ConnStreams {
                     Err(_) => {
                         m.failed.inc(1);
                         let msg = "stream feed panicked; fault isolated, stream closed".to_string();
-                        respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: msg }));
+                        respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::Internal, msg)));
                         // The extractor's carry state is suspect after a
                         // panic: close without flushing.
                         self.close_stream(stream, Value::Null, false, "error");
@@ -709,7 +647,7 @@ impl ConnStreams {
             StreamVerb::Flush => {
                 let Some(state) = self.streams.get_mut(&stream) else {
                     m.failed.inc(1);
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: format!("stream {stream} is not open") }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, format!("stream {stream} is not open"))));
                     return;
                 };
                 let shared = &self.shared;
@@ -735,7 +673,7 @@ impl ConnStreams {
                     Err(_) => {
                         m.failed.inc(1);
                         let msg = "stream flush panicked; fault isolated, stream closed".to_string();
-                        respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: msg }));
+                        respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::Internal, msg)));
                         self.close_stream(stream, Value::Null, false, "error");
                     }
                 }
@@ -743,7 +681,7 @@ impl ConnStreams {
             StreamVerb::Close => {
                 if !self.streams.contains_key(&stream) {
                     m.failed.inc(1);
-                    respond(&self.sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: format!("stream {stream} is not open") }));
+                    respond(&self.sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, format!("stream {stream} is not open"))));
                     return;
                 }
                 m.control.inc(1);
@@ -805,94 +743,6 @@ impl Drop for ConnStreams {
     }
 }
 
-/// Outcome of reading one protocol line from a connection.
-#[derive(Debug)]
-enum LineRead {
-    /// A complete line (without the trailing newline).
-    Line(Vec<u8>),
-    /// A line longer than the cap; the remainder was discarded up to the
-    /// next newline so the stream stays in sync.
-    Oversized,
-    /// End of stream.
-    Eof,
-}
-
-/// Incremental capped line reader. Never buffers more than `cap` bytes, so
-/// a client streaming an endless line cannot balloon server memory, and
-/// keeps partial-line progress across calls — a read timeout mid-line (the
-/// drain poll on TCP connections) resumes exactly where it stopped instead
-/// of corrupting the stream.
-struct LineReader {
-    cap: usize,
-    buf: Vec<u8>,
-    /// Inside an over-cap line, discarding bytes until the next newline.
-    discarding: bool,
-}
-
-impl LineReader {
-    fn new(cap: usize) -> Self {
-        LineReader { cap, buf: Vec::new(), discarding: false }
-    }
-
-    /// Reads the next line. A final unterminated fragment (truncated line
-    /// before EOF) is returned as a line so it still gets a (likely
-    /// `bad_request`) response. `Err(TimedOut | WouldBlock)` is resumable.
-    fn next_line(&mut self, reader: &mut impl BufRead) -> std::io::Result<LineRead> {
-        loop {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                return Ok(if self.buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(std::mem::take(&mut self.buf))
-                });
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(pos) => {
-                        reader.consume(pos + 1);
-                        self.discarding = false;
-                        return Ok(LineRead::Oversized);
-                    }
-                    None => {
-                        let n = buf.len();
-                        reader.consume(n);
-                    }
-                }
-                continue;
-            }
-            match newline {
-                Some(pos) => {
-                    if self.buf.len() + pos <= self.cap {
-                        self.buf.extend_from_slice(&buf[..pos]);
-                        reader.consume(pos + 1);
-                        return Ok(LineRead::Line(std::mem::take(&mut self.buf)));
-                    }
-                    reader.consume(pos + 1);
-                    self.buf.clear();
-                    return Ok(LineRead::Oversized);
-                }
-                None => {
-                    let n = buf.len();
-                    if self.buf.len() + n <= self.cap {
-                        self.buf.extend_from_slice(buf);
-                        reader.consume(n);
-                    } else {
-                        reader.consume(n);
-                        self.buf.clear();
-                        self.discarding = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Serves one protocol stream (a TCP connection or stdin): parses each
 /// line, answers control requests inline, and hands extract requests to
 /// the worker pool under the bounded admission counter. Returns `true`
@@ -933,11 +783,7 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
             LineRead::Eof => return false,
             LineRead::Oversized => {
                 shared.metrics.failed.inc(1);
-                let reject = Reject {
-                    id: Value::Null,
-                    code: ErrorCode::TooLarge,
-                    message: format!("request line exceeds {line_cap} bytes"),
-                };
+                let reject = Reject::new(Value::Null, ErrorCode::TooLarge, format!("request line exceeds {line_cap} bytes"));
                 respond(sink, &error_line(&reject));
                 continue;
             }
@@ -945,14 +791,7 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
         };
         let Ok(line) = std::str::from_utf8(&bytes) else {
             shared.metrics.failed.inc(1);
-            respond(
-                sink,
-                &error_line(&Reject {
-                    id: Value::Null,
-                    code: ErrorCode::BadRequest,
-                    message: "request line is not valid UTF-8".into(),
-                }),
-            );
+            respond(sink, &error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "request line is not valid UTF-8")));
             continue;
         };
         if line.trim().is_empty() {
@@ -996,12 +835,12 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
             Ok(Request::Reload(req)) => {
                 shared.metrics.control.inc(1);
                 if shared.draining.load(Ordering::Relaxed) {
-                    respond(sink, &error_line(&Reject { id: req.id, code: ErrorCode::Shedding, message: "server is draining".into() }));
+                    respond(sink, &error_line(&Reject::new(req.id, ErrorCode::Shedding, "server is draining")));
                     continue;
                 }
                 let (id, delta) = delta_of(*req);
                 if shared.wal_poisoned() {
-                    respond(sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: WAL_POISONED_MSG.into() }));
+                    respond(sink, &error_line(&Reject::new(id, ErrorCode::Internal, WAL_POISONED_MSG)));
                     continue;
                 }
                 // The rebuild runs on this connection's reader thread: other
@@ -1017,8 +856,13 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                         // failure the client gets an error — the new
                         // generation serves until the process dies, but a
                         // restart (correctly) comes back without it.
-                        if let Err(e) = shared.wal_commit(generation.id(), delta_value(&delta).to_string().as_bytes()) {
-                            respond(sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: e }));
+                        let committed = shared.wal.as_ref().map_or(Ok(()), |wal| {
+                            let payload = delta_value(&delta).to_string();
+                            commit(&mut wal.lock().unwrap_or_else(|p| p.into_inner()), &shared.metrics.wal, generation.id(), payload.as_bytes())
+                        });
+                        if let Err(e) = committed {
+                            shared.wal_failed.store(true, Ordering::Relaxed);
+                            respond(sink, &error_line(&Reject::new(id, ErrorCode::Internal, e)));
                             continue;
                         }
                         shared.metrics.generation_swaps.inc(1);
@@ -1033,19 +877,19 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                         respond(sink, &line.to_string());
                     }
                     Err(e) => {
-                        respond(sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: format!("reload rejected: {e}") }));
+                        respond(sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, format!("reload rejected: {e}"))));
                     }
                 }
             }
             Ok(Request::Prepare(req)) => {
                 shared.metrics.control.inc(1);
                 if shared.draining.load(Ordering::Relaxed) {
-                    respond(sink, &error_line(&Reject { id: req.id, code: ErrorCode::Shedding, message: "server is draining".into() }));
+                    respond(sink, &error_line(&Reject::new(req.id, ErrorCode::Shedding, "server is draining")));
                     continue;
                 }
                 let (id, delta) = delta_of(*req);
                 if shared.wal_poisoned() {
-                    respond(sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: WAL_POISONED_MSG.into() }));
+                    respond(sink, &error_line(&Reject::new(id, ErrorCode::Internal, WAL_POISONED_MSG)));
                     continue;
                 }
                 // Builds the next generation but keeps serving the current
@@ -1069,14 +913,14 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                         respond(sink, &line.to_string());
                     }
                     Err(e) => {
-                        respond(sink, &error_line(&Reject { id, code: ErrorCode::BadRequest, message: format!("prepare rejected: {e}") }));
+                        respond(sink, &error_line(&Reject::new(id, ErrorCode::BadRequest, format!("prepare rejected: {e}"))));
                     }
                 }
             }
             Ok(Request::Activate { id, generation }) => {
                 shared.metrics.control.inc(1);
                 if shared.wal_poisoned() {
-                    respond(sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: WAL_POISONED_MSG.into() }));
+                    respond(sink, &error_line(&Reject::new(id, ErrorCode::Internal, WAL_POISONED_MSG)));
                     continue;
                 }
                 let _serial = shared.reload_serial.lock().unwrap_or_else(|p| p.into_inner());
@@ -1088,16 +932,16 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                         // lock orders prepare/activate, but is handled as a
                         // commit failure rather than a panic.
                         let stashed = shared.prepared_delta.lock().unwrap_or_else(|p| p.into_inner()).take();
-                        let commit = match stashed {
-                            Some((gen, payload)) if gen == generation.id() => shared.wal_commit(generation.id(), &payload),
-                            _ if shared.wal.is_some() => {
-                                shared.wal_failed.store(true, Ordering::Relaxed);
-                                Err(format!("activated generation {} has no stashed prepare body to log", generation.id()))
+                        let committed = match (&shared.wal, stashed) {
+                            (None, _) => Ok(()),
+                            (Some(wal), Some((gen, payload))) if gen == generation.id() => {
+                                commit(&mut wal.lock().unwrap_or_else(|p| p.into_inner()), &shared.metrics.wal, gen, &payload)
                             }
-                            _ => Ok(()),
+                            (Some(_), _) => Err(format!("activated generation {} has no stashed prepare body to log", generation.id())),
                         };
-                        if let Err(e) = commit {
-                            respond(sink, &error_line(&Reject { id, code: ErrorCode::Internal, message: e }));
+                        if let Err(e) = committed {
+                            shared.wal_failed.store(true, Ordering::Relaxed);
+                            respond(sink, &error_line(&Reject::new(id, ErrorCode::Internal, e)));
                             continue;
                         }
                         shared.metrics.generation_swaps.inc(1);
@@ -1108,7 +952,7 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                         // The id names a generation this replica has not
                         // prepared: a coordinator treats this as the replica
                         // being out of step and resyncs it.
-                        respond(sink, &error_line(&Reject { id, code: ErrorCode::Conflict, message: e.to_string() }));
+                        respond(sink, &error_line(&Reject::new(id, ErrorCode::Conflict, e.to_string())));
                     }
                 }
             }
@@ -1127,7 +971,7 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
             Ok(Request::Extract(req)) => {
                 if shared.draining.load(Ordering::Relaxed) {
                     shared.metrics.shed.inc(1);
-                    respond(sink, &error_line(&Reject { id: req.id, code: ErrorCode::Shedding, message: "server is draining".into() }));
+                    respond(sink, &error_line(&Reject::new(req.id, ErrorCode::Shedding, "server is draining")));
                     continue;
                 }
                 let deadline = req.limits.deadline.unwrap_or(shared.ceilings.max_timeout);
@@ -1138,14 +982,7 @@ fn serve_stream(shared: &Arc<Shared>, reader: &mut impl BufRead, sink: &Sink) ->
                 if shared.queued.fetch_add(1, Ordering::SeqCst) >= shared.queue_cap {
                     shared.queued.fetch_sub(1, Ordering::SeqCst);
                     shared.metrics.shed.inc(1);
-                    respond(
-                        &job.sink,
-                        &error_line(&Reject {
-                            id: job.req.id,
-                            code: ErrorCode::Shedding,
-                            message: "request queue is full".into(),
-                        }),
-                    );
+                    respond(&job.sink, &error_line(&Reject::new(job.req.id, ErrorCode::Shedding, "request queue is full")));
                 } else {
                     shared.metrics.queue_depth.add(1);
                     let shared = Arc::clone(shared);
@@ -1193,11 +1030,8 @@ fn recover_wal(engine: &ShardedEngine, tokenizer: &Tokenizer, path: &Path, metri
         if record.generation <= artifact_gen {
             continue; // already folded into the artifact by a compaction
         }
-        let text = std::str::from_utf8(&record.payload)
-            .map_err(|e| format!("{}: generation {} record: payload is not UTF-8: {e}", path.display(), record.generation))?;
-        let body: Value = serde_json::from_str(text)
-            .map_err(|e| format!("{}: generation {} record: payload is not JSON: {e}", path.display(), record.generation))?;
-        let delta = parse_delta(&body).map_err(|e| format!("{}: generation {} record: {e}", path.display(), record.generation))?;
+        let delta =
+            parse_delta(&decode_record(path, record)?).map_err(|e| format!("{}: generation {} record: {e}", path.display(), record.generation))?;
         let generation = engine
             .apply_update(&delta, tokenizer)
             .map_err(|e| format!("{}: replaying the delta for generation {} failed: {e}", path.display(), record.generation))?;
@@ -1216,8 +1050,7 @@ fn recover_wal(engine: &ShardedEngine, tokenizer: &Tokenizer, path: &Path, metri
     metrics
         .recovery_nanos
         .set(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX).min(i64::MAX as u64) as i64);
-    metrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-    metrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
+    observe_size(&wal, metrics);
     if replayed > 0 || replay.truncated_bytes > 0 {
         eprintln!(
             "wal: recovered to generation {} ({} delta(s) replayed, {} torn byte(s) truncated)",
@@ -1372,13 +1205,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                                                      // and decremented when `handle_connection` returns.
         if shared.metrics.conns.value() >= shared.max_conns as i64 {
             shared.metrics.conns_rejected.inc(1);
-            let reject = Reject {
-                id: Value::Null,
-                code: ErrorCode::Shedding,
-                message: format!("connection limit ({}) reached", shared.max_conns),
-            };
-            let _ = stream.write_all(error_line(&reject).as_bytes());
-            let _ = stream.write_all(b"\n");
+            let reject = Reject::new(Value::Null, ErrorCode::Shedding, format!("connection limit ({}) reached", shared.max_conns));
+            let _ = write_line(&mut stream, &error_line(&reject));
             continue; // dropping the stream closes it
         }
         shared.metrics.conns.add(1);
@@ -1431,88 +1259,5 @@ fn drain(shared: &Arc<Shared>, deadline: Duration) {
             shared.cancel.cancel();
         }
         std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lines_of(bytes: &[u8], cap: usize) -> Vec<String> {
-        let mut reader = BufReader::new(bytes);
-        let mut lr = LineReader::new(cap);
-        let mut out = Vec::new();
-        loop {
-            match lr.next_line(&mut reader).unwrap() {
-                LineRead::Eof => return out,
-                LineRead::Oversized => out.push("<oversized>".into()),
-                LineRead::Line(l) => out.push(String::from_utf8(l).unwrap()),
-            }
-        }
-    }
-
-    #[test]
-    fn capped_line_reader_splits_lines() {
-        assert_eq!(lines_of(b"one\ntwo\n", 100), ["one", "two"]);
-    }
-
-    #[test]
-    fn capped_line_reader_returns_final_unterminated_fragment() {
-        assert_eq!(lines_of(b"complete\ntruncat", 100), ["complete", "truncat"]);
-    }
-
-    #[test]
-    fn capped_line_reader_discards_oversized_and_resyncs() {
-        let mut input = vec![b'x'; 1000];
-        input.push(b'\n');
-        input.extend_from_slice(b"ok\n");
-        assert_eq!(lines_of(&input, 10), ["<oversized>", "ok"]);
-    }
-
-    #[test]
-    fn capped_line_reader_oversized_at_eof_without_newline() {
-        assert_eq!(lines_of(&vec![b'y'; 1000], 10), ["<oversized>"]);
-    }
-
-    #[test]
-    fn capped_line_reader_exact_cap_fits() {
-        assert_eq!(lines_of(b"12345\n", 5), ["12345"]);
-    }
-
-    #[test]
-    fn capped_line_reader_over_cap_by_one_is_oversized() {
-        assert_eq!(lines_of(b"123456\nok\n", 5), ["<oversized>", "ok"]);
-    }
-
-    /// A timeout mid-line must not lose the partial prefix: simulate with a
-    /// reader that errors between two chunks of one line.
-    #[test]
-    fn partial_line_survives_interrupted_read() {
-        struct Interrupting {
-            chunks: Vec<&'static [u8]>,
-            next: usize,
-            erred: bool,
-        }
-        impl std::io::Read for Interrupting {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.next == 1 && !self.erred {
-                    self.erred = true;
-                    return Err(std::io::Error::new(ErrorKind::WouldBlock, "poll"));
-                }
-                if self.next >= self.chunks.len() {
-                    return Ok(0);
-                }
-                let chunk = self.chunks[self.next];
-                self.next += 1;
-                buf[..chunk.len()].copy_from_slice(chunk);
-                Ok(chunk.len())
-            }
-        }
-        let mut reader = BufReader::new(Interrupting { chunks: vec![b"hel", b"lo\n"], next: 0, erred: false });
-        let mut lr = LineReader::new(100);
-        let first = lr.next_line(&mut reader);
-        assert!(matches!(first, Err(ref e) if e.kind() == ErrorKind::WouldBlock), "{first:?}");
-        let second = lr.next_line(&mut reader).unwrap();
-        assert!(matches!(second, LineRead::Line(ref l) if l == b"hello"), "partial prefix must survive the interruption");
     }
 }

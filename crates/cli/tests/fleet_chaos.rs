@@ -13,17 +13,18 @@
 //!   serves post-delta entities.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use std::net::{TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aeetes_cli::protocol::{error_line, ErrorCode, Reject};
 use aeetes_core::{save_engine, Aeetes, AeetesConfig};
 use aeetes_rules::RuleSet;
 use aeetes_text::{Dictionary, Interner, Tokenizer};
-use serde_json::Value;
+use serde_json::{json, Value};
 
 /// Builds a small engine file and returns its path (unique per test).
 fn engine_file(tag: &str) -> PathBuf {
@@ -54,13 +55,19 @@ struct Fleet {
 impl Fleet {
     /// Spawns `aeetes fleet --replicas N --listen 127.0.0.1:0 ...` and
     /// parses the replica banners plus the bound address from stdout.
-    fn spawn(engine: &PathBuf, n: usize, extra: &[&str]) -> Fleet {
+    fn spawn(engine: &Path, n: usize, extra: &[&str]) -> Fleet {
+        let engine = engine.to_str().expect("utf-8 engine path");
+        let fleet = Fleet::spawn_args(&[&["--engine", engine, "--replicas", &n.to_string()], extra].concat());
+        assert_eq!(fleet.replica_pids.len(), n, "one banner per replica");
+        fleet
+    }
+
+    /// Spawns `aeetes fleet --listen 127.0.0.1:0 <args>` and parses the
+    /// replica banners (pid 0 for a remote replica) plus the bound address.
+    fn spawn_args(args: &[&str]) -> Fleet {
         let mut child = Command::new(env!("CARGO_BIN_EXE_aeetes"))
-            .arg("fleet")
-            .arg("--engine")
-            .arg(engine)
-            .args(["--replicas", &n.to_string(), "--listen", "127.0.0.1:0"])
-            .args(extra)
+            .args(["fleet", "--listen", "127.0.0.1:0"])
+            .args(args)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -86,7 +93,6 @@ impl Fleet {
                 replica_pids.push(pid);
             }
         };
-        assert_eq!(replica_pids.len(), n, "one banner per replica");
         // Keep draining stdout (respawn banners) so the pipe never fills.
         std::thread::spawn(move || {
             let mut sink = String::new();
@@ -150,6 +156,14 @@ impl Fleet {
     }
 }
 
+/// A failing test must not leave its coordinator running.
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 fn status_of(v: &Value) -> &str {
     v.get("status").and_then(Value::as_str).unwrap_or_else(|| panic!("no status in {v}"))
 }
@@ -189,9 +203,11 @@ fn lockstep_client(addr: &str, thread: usize, count: usize, sent: &AtomicU64) ->
             Some(id.as_str()),
             "response id must match the request (duplicate or reordered answer): {v}"
         );
-        match status_of(&v) {
-            "ok" => ok += 1,
-            "error" if v.get("code").and_then(Value::as_str) == Some("shedding") => shed += 1,
+        // A shed is known by its code; serve and the fleet both spell its
+        // status `shedding`.
+        match (status_of(&v), v.get("code").and_then(Value::as_str)) {
+            ("ok", _) => ok += 1,
+            (_, Some("shedding")) => shed += 1,
             _ => failed += 1,
         }
     }
@@ -374,6 +390,145 @@ fn fleet_control_plane_and_drain() {
     let v = fleet.round_trip(r#"{"type":"extract","id":3,"doc":"uq au"}"#);
     assert_eq!(status_of(&v), "ok", "{v}");
     fleet.shutdown_and_wait(Duration::from_secs(20));
+}
+
+/// A standalone `aeetes serve`, killed on drop so a failing test leaves
+/// no server behind.
+struct Serve(Child);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns a standalone `aeetes serve` on an OS-picked port, for use as a
+/// remote replica; returns it and its address.
+fn spawn_serve(engine: &Path) -> (Serve, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aeetes"))
+        .arg("serve")
+        .arg("--engine")
+        .arg(engine)
+        .args(["--listen", "127.0.0.1:0", "--idle-timeout", "0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut reader = BufReader::new(child.stdout.take().expect("serve stdout"));
+    let mut banner = String::new();
+    reader.read_line(&mut banner).expect("read serve banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("bad serve banner {banner:?}"))
+        .to_string();
+    std::thread::spawn(move || {
+        let mut sink = String::new();
+        while matches!(reader.read_line(&mut sink), Ok(x) if x > 0) {
+            sink.clear();
+        }
+    });
+    (Serve(child), addr)
+}
+
+/// Waits for a server that was asked to shut down; panics past `budget`
+/// (dropping it then kills it).
+fn reap(mut serve: Serve, budget: Duration) {
+    let deadline = Instant::now() + budget;
+    while serve.0.try_wait().expect("try_wait").is_none() {
+        assert!(Instant::now() < deadline, "serve did not exit within {budget:?} of shutdown");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// A stand-in replica on an OS-picked local port. It answers the handshake
+/// and health probes the way `aeetes serve` does (generation 1, not
+/// draining), acks every other control request, and answers each extract
+/// with `on_extract(id)`, or never when that returns `None`. Returns the
+/// stub's address.
+fn stub_replica(on_extract: fn(Value) -> Option<String>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub replica");
+    let addr = listener.local_addr().expect("stub address").to_string();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(stream) = conn else { continue };
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone stub stream");
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { return };
+                    let Ok(v) = serde_json::from_str(&line) else { continue };
+                    let id = v.get("id").cloned().unwrap_or(Value::Null);
+                    let answer = match v.get("type").and_then(Value::as_str) {
+                        Some("extract") => on_extract(id),
+                        Some("health") => Some(json!({"id": id, "status": "ok", "generation": 1, "draining": false}).to_string()),
+                        _ => Some(json!({"id": id, "status": "ok"}).to_string()),
+                    };
+                    if let Some(answer) = answer {
+                        if writer.write_all(format!("{answer}\n").as_bytes()).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A replica that sheds answers `"status":"shedding"` (serve's spelling,
+/// rendered by serve's own error renderer). The fleet must retry it on the
+/// other replica like any retryable code, so every extract is served.
+#[test]
+fn fleet_retries_replica_shedding_answers() {
+    let engine = engine_file("shedding-replica");
+    let (serve, real) = spawn_serve(&engine);
+    let stub = stub_replica(|id| Some(error_line(&Reject { id, code: ErrorCode::Shedding, message: "request queue is full".into() })));
+    let fleet = Fleet::spawn_args(&["--replica", &format!("{stub},{real}"), "--replicas", "0"]);
+    assert_eq!(fleet.replica_pids.len(), 2, "one banner per replica");
+
+    let mut stream = fleet.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut statuses = Vec::new();
+    for i in 0..20 {
+        stream
+            .write_all(format!("{{\"type\":\"extract\",\"id\":{i},\"doc\":\"uq au\"}}\n").as_bytes())
+            .unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read extract answer");
+        let v: Value = serde_json::from_str(&resp).unwrap_or_else(|e| panic!("bad response {resp:?}: {e}"));
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(i), "{v}");
+        statuses.push(status_of(&v).to_string());
+    }
+    assert!(statuses.iter().all(|s| s == "ok"), "every extract must be served by the healthy replica: {statuses:?}");
+    let stats = fleet.stats();
+    assert!(stats.get("retried").and_then(Value::as_u64).unwrap_or(0) > 0, "shedding answers must be retried: {stats}");
+    assert_eq!(stats.get("served").and_then(Value::as_u64), Some(20), "{stats}");
+    assert_eq!(stats.get("shed").and_then(Value::as_u64), Some(0), "{stats}");
+    fleet.shutdown_and_wait(Duration::from_secs(20));
+    reap(serve, Duration::from_secs(10));
+}
+
+/// The fleet's own sheds use serve's spelling: a request still pending
+/// when the drain deadline passes is answered `"status":"shedding"`.
+#[test]
+fn fleet_drain_sweep_answers_in_serve_shedding_spelling() {
+    let stub = stub_replica(|_| None);
+    let fleet = Fleet::spawn_args(&["--replica", &stub, "--replicas", "0", "--request-timeout", "30", "--drain", "0.5"]);
+    let mut stream = fleet.connect();
+    stream.write_all(b"{\"type\":\"extract\",\"id\":\"stuck\",\"doc\":\"uq au\"}\n").unwrap();
+    // The extract is admitted and dispatched before the shutdown arrives.
+    fleet.wait_until("the extract routed", Duration::from_secs(10), |s| s.get("routed").and_then(Value::as_u64) == Some(1));
+    let mut reader = BufReader::new(stream);
+    fleet.shutdown_and_wait(Duration::from_secs(20));
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("read drain answer");
+    let v: Value = serde_json::from_str(&resp).unwrap_or_else(|e| panic!("bad response {resp:?}: {e}"));
+    assert_eq!(v.get("id").and_then(Value::as_str), Some("stuck"), "{v}");
+    assert_eq!(status_of(&v), "shedding", "{v}");
+    assert_eq!(v.get("code").and_then(Value::as_str), Some("shedding"), "{v}");
+    assert_eq!(v.get("retryable").and_then(Value::as_bool), Some(true), "{v}");
 }
 
 extern "C" {

@@ -37,7 +37,8 @@
 use crate::backoff::Backoff;
 use crate::pending::{FailOutcome, PendingTable};
 use crate::replica::{sync_request, Handshake, Replica, ReplicaSpec};
-use crate::retryable_code;
+use crate::wal;
+use crate::wire::{error_line, respond, ErrorCode, LineRead, LineReader, Reject, Sink};
 use aeetes_core::{Wal, WalError};
 use aeetes_obs::{FleetMetrics, MetricRegistry, ReplicaMetrics, WalMetrics};
 use serde_json::{json, Map, Value};
@@ -125,17 +126,14 @@ pub struct FleetSummary {
     pub failed: u64,
 }
 
-/// A client connection's write half, shared with every thread that may
-/// answer one of its requests.
-type Sink = Arc<Mutex<TcpStream>>;
-
 /// Where a pending request's answer goes.
 enum Deliver {
     /// A client extract request: restore `id`, write to `sink`.
     Client { id: Value, sink: Sink, expires: Instant },
     /// A coordinator-internal request (probe, prepare, activate): the full
-    /// response value is handed to the waiting thread.
-    Internal(Sender<Value>),
+    /// response value, or why none will come, is handed to the waiting
+    /// thread.
+    Internal(Sender<Result<Value, String>>),
 }
 
 struct DispatchMsg {
@@ -192,44 +190,9 @@ impl Fleet {
             return Ok(());
         }
         let (wal, _replay) = Wal::open_or_create(path, base).map_err(|e| format!("{}: {e}", path.display()))?;
-        self.wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-        self.wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
+        wal::observe_size(&wal, &self.wmetrics);
         *slot = Some(wal);
         Ok(())
-    }
-
-    /// Appends + fsyncs one fleet-wide activated delta; only after this
-    /// returns `Ok` may the client be acked. A failure latches
-    /// `wal_failed`: the fleet *has* activated the delta (in-memory state
-    /// and the replicas are consistent) but a coordinator restart may not
-    /// remember it, so the client is told and further reloads are refused.
-    fn wal_commit(&self, generation: u64, delta: &Value) -> Result<(), String> {
-        let mut slot = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(wal) = slot.as_mut() else { return Ok(()) };
-        let payload = delta.to_string();
-        let result = (|| {
-            wal.append(generation, payload.as_bytes())?;
-            let sync_started = Instant::now();
-            wal.sync()?;
-            self.wmetrics
-                .fsync_nanos
-                .observe_nanos(u64::try_from(sync_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            Ok::<(), WalError>(())
-        })();
-        match result {
-            Ok(()) => {
-                self.wmetrics.appends.inc(1);
-                self.wmetrics.append_bytes.inc(payload.len() as u64);
-                self.wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-                self.wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
-                Ok(())
-            }
-            Err(e) => {
-                self.wmetrics.append_failures.inc(1);
-                self.wal_failed.store(true, Ordering::Relaxed);
-                Err(format!("delta log append for generation {generation} failed: {e}"))
-            }
-        }
     }
 
     /// Runs under the reload lock after a successful fleet reload: once the
@@ -274,15 +237,6 @@ impl Fleet {
     }
 }
 
-/// Writes one line to a client, swallowing errors (a hung-up client must
-/// never take the coordinator down).
-fn respond(sink: &Sink, line: &str) {
-    let mut w = sink.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
-}
-
 /// Sets (or replaces) one field of a JSON object; no-op on non-objects.
 fn set_field(v: &mut Value, key: &str, val: Value) {
     if let Value::Object(map) = v {
@@ -290,54 +244,53 @@ fn set_field(v: &mut Value, key: &str, val: Value) {
     }
 }
 
-/// Outcome class of an answer, for the reconciling counters.
-#[derive(Clone, Copy)]
-enum Class {
-    Served,
-    Shed,
-    Failed,
-}
-
-fn class_of(v: &Value) -> Class {
-    if v.get("status").and_then(Value::as_str) == Some("ok") {
-        Class::Served
-    } else if v.get("code").and_then(Value::as_str) == Some("shedding") {
-        Class::Shed
+/// Counts one answered client extract request in the reconciling ledger.
+fn count_answer(fleet: &Fleet, served: bool, code: Option<ErrorCode>) {
+    let outcome = if served {
+        &fleet.metrics.answered_served
+    } else if code == Some(ErrorCode::Shedding) {
+        &fleet.metrics.answered_shed
     } else {
-        Class::Failed
-    }
+        &fleet.metrics.answered_failed
+    };
+    outcome.inc(1);
 }
 
-/// The single funnel for answering a client extract request: every path
-/// (forward, exhaustion, expiry, drain) ends here, which is what keeps
-/// `served + shed + failed` equal to the number of extract requests.
+/// Wire error code of a response, if it carries a known one.
+fn code_of(v: &Value) -> Option<ErrorCode> {
+    v.get("code").and_then(Value::as_str).and_then(ErrorCode::parse_wire)
+}
+
+/// Answers a client extract request with a replica's response. This and
+/// [`reject_client`] are the only ways an extract request is answered:
+/// every path (forward, exhaustion, expiry, drain) ends in one of them,
+/// which is what keeps `served + shed + failed` equal to the number of
+/// extract requests.
 fn answer_client(fleet: &Fleet, sink: &Sink, mut response: Value, client_id: Value) {
     set_field(&mut response, "id", client_id);
-    match class_of(&response) {
-        Class::Served => fleet.metrics.answered_served.inc(1),
-        Class::Shed => fleet.metrics.answered_shed.inc(1),
-        Class::Failed => fleet.metrics.answered_failed.inc(1),
-    }
+    count_answer(fleet, response.get("status").and_then(Value::as_str) == Some("ok"), code_of(&response));
     respond(sink, &response.to_string());
 }
 
-fn error_value(code: &str, message: &str) -> Value {
-    json!({"status": "error", "code": code, "message": message, "retryable": matches!(code, "timeout" | "shedding")})
+/// Answers a client extract request with the fleet's own error.
+fn reject_client(fleet: &Fleet, sink: &Sink, reject: Reject) {
+    count_answer(fleet, false, Some(reject.code));
+    respond(sink, &error_line(&reject));
 }
 
 /// Handles a failed attempt for `rid` (retryable error response, reset,
 /// failed write, probe-loss requeue): internal requests complete with an
 /// error immediately, client requests retry with backoff until exhausted.
-fn handle_failure(fleet: &Arc<Fleet>, rid: u64, error_line: Option<String>) {
+fn handle_failure(fleet: &Arc<Fleet>, rid: u64, last_error: Option<String>) {
     let internal = fleet.pending.peek(rid, |d| matches!(d, Deliver::Internal(_)));
     match internal {
         None => {}
         Some(true) => {
             if let Some(Deliver::Internal(tx)) = fleet.pending.take(rid) {
-                let _ = tx.send(error_value("reset", "replica connection lost"));
+                let _ = tx.send(Err("replica connection lost".into()));
             }
         }
-        Some(false) => match fleet.pending.fail(rid, error_line) {
+        Some(false) => match fleet.pending.fail(rid, last_error) {
             FailOutcome::Retry { failures } => {
                 fleet.metrics.retried.inc(1);
                 let delay = fleet.opts.backoff.delay(failures.saturating_sub(1), rid);
@@ -345,10 +298,10 @@ fn handle_failure(fleet: &Arc<Fleet>, rid: u64, error_line: Option<String>) {
             }
             FailOutcome::Exhausted { deliver, last_error } => {
                 if let Deliver::Client { id, sink, .. } = deliver {
-                    let response = last_error
-                        .and_then(|l| serde_json::from_str(&l).ok())
-                        .unwrap_or_else(|| error_value("internal", "request failed on every replica"));
-                    answer_client(fleet, &sink, response, id);
+                    match last_error.and_then(|l| serde_json::from_str(&l).ok()) {
+                        Some(response) => answer_client(fleet, &sink, response, id),
+                        None => reject_client(fleet, &sink, Reject::new(id, ErrorCode::Internal, "request failed on every replica")),
+                    }
                 }
             }
             FailOutcome::AlreadyAnswered => {}
@@ -432,7 +385,7 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
     let expires = expires.expect("only client requests are routed");
     if Instant::now() >= expires {
         if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
-            answer_client(fleet, &sink, error_value("timeout", "request deadline expired before any replica could serve it"), id);
+            reject_client(fleet, &sink, Reject::new(id, ErrorCode::Timeout, "request deadline expired before any replica could serve it"));
         }
         return;
     }
@@ -445,7 +398,7 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
     let Some(replica) = chosen else {
         if fleet.draining.load(Ordering::Relaxed) {
             if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
-                answer_client(fleet, &sink, error_value("shedding", "fleet is draining"), id);
+                reject_client(fleet, &sink, Reject::new(id, ErrorCode::Shedding, "fleet is draining"));
             }
             return;
         }
@@ -476,84 +429,8 @@ fn route(fleet: &Arc<Fleet>, rid: u64) {
 // Replica reader
 // ---------------------------------------------------------------------------
 
-/// Resumable capped line reader (same contract as the serve-side one): a
-/// read timeout mid-line keeps the partial prefix, and a line over the cap
-/// is discarded without desyncing the stream.
-struct LineReader {
-    cap: usize,
-    buf: Vec<u8>,
-    discarding: bool,
-}
-
-enum LineRead {
-    Line(Vec<u8>),
-    Oversized,
-    Eof,
-}
-
-impl LineReader {
-    fn new(cap: usize) -> Self {
-        LineReader { cap, buf: Vec::new(), discarding: false }
-    }
-
-    fn next_line(&mut self, reader: &mut impl BufRead) -> std::io::Result<LineRead> {
-        loop {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                return Ok(if self.buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(std::mem::take(&mut self.buf))
-                });
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(pos) => {
-                        reader.consume(pos + 1);
-                        self.discarding = false;
-                        return Ok(LineRead::Oversized);
-                    }
-                    None => {
-                        let n = buf.len();
-                        reader.consume(n);
-                    }
-                }
-                continue;
-            }
-            match newline {
-                Some(pos) => {
-                    if self.buf.len() + pos <= self.cap {
-                        self.buf.extend_from_slice(&buf[..pos]);
-                        reader.consume(pos + 1);
-                        return Ok(LineRead::Line(std::mem::take(&mut self.buf)));
-                    }
-                    reader.consume(pos + 1);
-                    self.buf.clear();
-                    return Ok(LineRead::Oversized);
-                }
-                None => {
-                    let n = buf.len();
-                    if self.buf.len() + n <= self.cap {
-                        self.buf.extend_from_slice(buf);
-                        reader.consume(n);
-                    } else {
-                        reader.consume(n);
-                        self.buf.clear();
-                        self.discarding = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Lines (requests or responses) larger than this are dropped.
-const LINE_CAP: usize = 32 << 20;
+pub(crate) const LINE_CAP: usize = 32 << 20;
 
 fn replica_reader(fleet: &Arc<Fleet>, replica: &Arc<Replica>, epoch: u64, mut reader: BufReader<TcpStream>) {
     let mut lines = LineReader::new(LINE_CAP);
@@ -580,13 +457,13 @@ fn replica_reader(fleet: &Arc<Fleet>, replica: &Arc<Replica>, epoch: u64, mut re
             }
             Some(true) => {
                 if let Some(Deliver::Internal(tx)) = fleet.pending.take(rid) {
-                    let _ = tx.send(v);
+                    let _ = tx.send(Ok(v));
                 }
             }
             Some(false) => {
-                let status = v.get("status").and_then(Value::as_str).unwrap_or("");
-                let code = v.get("code").and_then(Value::as_str).unwrap_or("");
-                if status == "error" && retryable_code(code) && !fleet.draining.load(Ordering::Relaxed) {
+                // Classified by code alone: serve spells a shed
+                // `"status":"shedding"`, other errors `"status":"error"`.
+                if code_of(&v).is_some_and(ErrorCode::retryable) && !fleet.draining.load(Ordering::Relaxed) {
                     fleet.rmetrics[replica.id].failures.inc(1);
                     handle_failure(fleet, rid, Some(text.to_string()));
                 } else if let Some(Deliver::Client { id, sink, .. }) = fleet.pending.take(rid) {
@@ -720,7 +597,7 @@ fn internal_request(fleet: &Fleet, replica: &Arc<Replica>, body: &mut Value, tim
         return Err("send failed".into());
     }
     match rx.recv_timeout(timeout) {
-        Ok(v) => Ok(v),
+        Ok(answer) => answer,
         Err(_) => {
             // Remove the probe entry; a late answer becomes a counted
             // duplicate instead of a leak.
@@ -786,21 +663,17 @@ fn health_loop(fleet: &Arc<Fleet>) {
 fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Sink) {
     let _guard = fleet.reload_lock.lock().unwrap_or_else(|p| p.into_inner());
     if fleet.draining.load(Ordering::Relaxed) {
-        respond_control(fleet, sink, error_value("shedding", "fleet is draining"), client_id);
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Shedding, "fleet is draining")));
         return;
     }
     if fleet.wal_failed.load(Ordering::Relaxed) {
-        respond_control(
-            fleet,
-            sink,
-            error_value("internal", "delta log failed on an earlier commit; fleet reloads are disabled (extraction continues)"),
-            client_id,
-        );
+        let message = "delta log failed on an earlier commit; fleet reloads are disabled (extraction continues)";
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Internal, message)));
         return;
     }
     let ups: Vec<Arc<Replica>> = fleet.replicas.iter().filter(|r| r.is_up()).cloned().collect();
     if ups.is_empty() {
-        respond_control(fleet, sink, error_value("internal", "no replicas are up"), client_id);
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Internal, "no replicas are up")));
         return;
     }
     // The delta body shipped to replicas and logged for resync: the client
@@ -838,7 +711,8 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         // generation, and stale pending generations are replaced by the
         // next prepare (or invalidated by a direct apply). Mixed serving
         // states are impossible from this path.
-        respond_control(fleet, sink, error_value("internal", &format!("prepare failed; fleet unchanged: {}", failures.join("; "))), client_id);
+        let message = format!("prepare failed; fleet unchanged: {}", failures.join("; "));
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Internal, message)));
         return;
     }
 
@@ -867,12 +741,8 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         }
     }
     if acked == 0 {
-        respond_control(
-            fleet,
-            sink,
-            error_value("internal", "no replica activated the new generation; fleet will reconverge on the old one"),
-            client_id,
-        );
+        let message = "no replica activated the new generation; fleet will reconverge on the old one";
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Internal, message)));
         return;
     }
     fleet.generation.store(target, Ordering::Relaxed);
@@ -882,11 +752,20 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
     fleet.delta_log.lock().unwrap_or_else(|p| p.into_inner()).push(delta.clone());
     fleet.metrics.reloads.inc(1);
     fleet.metrics.generation.set(target.min(i64::MAX as u64) as i64);
-    if let Err(e) = fleet.wal_commit(target, &delta) {
+    let commit = fleet
+        .wal
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .as_mut()
+        .map_or(Ok(()), |log| wal::commit(log, &fleet.wmetrics, target, delta.to_string().as_bytes()));
+    if let Err(e) = commit {
         // The fleet converged on `target` but the log did not: tell the
         // client the reload is NOT durable (a coordinator restart may
-        // forget it) instead of acking a promise the disk cannot keep.
-        respond_control(fleet, sink, error_value("internal", &format!("reload activated fleet-wide but is not durable: {e}")), client_id);
+        // forget it) instead of acking a promise the disk cannot keep,
+        // and refuse further reloads.
+        fleet.wal_failed.store(true, Ordering::Relaxed);
+        let message = format!("reload activated fleet-wide but is not durable: {e}");
+        respond(sink, &error_line(&Reject::new(client_id, ErrorCode::Internal, message)));
         return;
     }
     fleet.maybe_compact();
@@ -896,12 +775,12 @@ fn fleet_reload(fleet: &Arc<Fleet>, client_id: Value, request: &Value, sink: &Si
         "replicas_acked": acked,
         "replicas_total": ups.len(),
     });
-    respond_control(fleet, sink, ok, client_id);
+    respond_control(sink, ok, client_id);
 }
 
 /// Control-plane responses bypass the served/shed/failed ledger (that
 /// partition is for extract requests, mirroring `aeetes serve`).
-fn respond_control(_fleet: &Fleet, sink: &Sink, mut response: Value, client_id: Value) {
+fn respond_control(sink: &Sink, mut response: Value, client_id: Value) {
     set_field(&mut response, "id", client_id);
     respond(sink, &response.to_string());
 }
@@ -969,20 +848,20 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
         let bytes = match read {
             LineRead::Eof => return false,
             LineRead::Oversized => {
-                respond_control(fleet, sink, error_value("too_large", &format!("request line exceeds {LINE_CAP} bytes")), Value::Null);
+                respond(sink, &error_line(&Reject::new(Value::Null, ErrorCode::TooLarge, format!("request line exceeds {LINE_CAP} bytes"))));
                 continue;
             }
             LineRead::Line(b) => b,
         };
         let Ok(text) = std::str::from_utf8(&bytes) else {
-            respond_control(fleet, sink, error_value("bad_request", "request line is not valid UTF-8"), Value::Null);
+            respond(sink, &error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "request line is not valid UTF-8")));
             continue;
         };
         if text.trim().is_empty() {
             continue;
         }
         let Ok(mut v) = serde_json::from_str(text) else {
-            respond_control(fleet, sink, error_value("bad_request", "request line is not valid JSON"), Value::Null);
+            respond(sink, &error_line(&Reject::new(Value::Null, ErrorCode::BadRequest, "request line is not valid JSON")));
             continue;
         };
         let client_id = v.get("id").cloned().unwrap_or(Value::Null);
@@ -990,7 +869,7 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
         match kind.as_str() {
             "extract" => {
                 if fleet.draining.load(Ordering::Relaxed) {
-                    answer_client(fleet, sink, error_value("shedding", "fleet is draining"), client_id);
+                    reject_client(fleet, sink, Reject::new(client_id, ErrorCode::Shedding, "fleet is draining"));
                     continue;
                 }
                 let rid = fleet.pending.next_rid();
@@ -1010,10 +889,10 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
                     "generation": fleet.generation.load(Ordering::Relaxed),
                     "replicas_up": fleet.up_count(),
                 });
-                respond_control(fleet, sink, response, client_id);
+                respond_control(sink, response, client_id);
             }
             "stats" => {
-                respond_control(fleet, sink, json!({"status": "ok", "stats": stats_value(fleet)}), client_id);
+                respond_control(sink, json!({"status": "ok", "stats": stats_value(fleet)}), client_id);
             }
             "metrics" => {
                 fleet.metrics.pending.set(fleet.pending.len().min(i64::MAX as usize) as i64);
@@ -1021,26 +900,22 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
                 fleet.metrics.generation.set(fleet.generation.load(Ordering::Relaxed).min(i64::MAX as u64) as i64);
                 let snapshot = fleet.registry.snapshot();
                 let metrics: Value = serde_json::from_str(&aeetes_obs::json(&snapshot)).unwrap_or(Value::Null);
-                respond_control(fleet, sink, json!({"status": "ok", "metrics": metrics}), client_id);
+                respond_control(sink, json!({"status": "ok", "metrics": metrics}), client_id);
             }
             "reload" => {
                 fleet_reload(fleet, client_id, &v, sink);
             }
             "prepare" | "activate" => {
-                respond_control(
-                    fleet,
-                    sink,
-                    error_value("bad_request", "the coordinator runs prepare/activate itself; send `reload` and it ships two-phase"),
-                    client_id,
-                );
+                let message = "the coordinator runs prepare/activate itself; send `reload` and it ships two-phase";
+                respond(sink, &error_line(&Reject::new(client_id, ErrorCode::BadRequest, message)));
             }
             "shutdown" => {
                 fleet.draining.store(true, Ordering::Relaxed);
-                respond_control(fleet, sink, json!({"status": "ok", "draining": true}), client_id);
+                respond_control(sink, json!({"status": "ok", "draining": true}), client_id);
                 return true;
             }
             other => {
-                respond_control(fleet, sink, error_value("bad_request", &format!("unknown request type `{other}`")), client_id);
+                respond(sink, &error_line(&Reject::new(client_id, ErrorCode::BadRequest, format!("unknown request type `{other}`"))));
             }
         }
     }
@@ -1049,7 +924,7 @@ fn client_stream(fleet: &Arc<Fleet>, reader: &mut impl BufRead, sink: &Sink) -> 
 fn handle_client(fleet: &Arc<Fleet>, stream: TcpStream) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let Ok(write_half) = stream.try_clone() else { return false };
-    let sink: Sink = Arc::new(Mutex::new(write_half));
+    let sink: Sink = Arc::new(Mutex::new(Box::new(write_half)));
     let mut reader = BufReader::new(stream);
     client_stream(fleet, &mut reader, &sink)
 }
@@ -1080,16 +955,11 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
             Ok((wal, replay)) => {
                 restored_base = wal.base_generation();
                 for record in &replay.records {
-                    let text = std::str::from_utf8(&record.payload)
-                        .map_err(|e| format!("{}: generation {} record: payload is not UTF-8: {e}", path.display(), record.generation))?;
-                    let v: Value = serde_json::from_str(text)
-                        .map_err(|e| format!("{}: generation {} record: payload is not JSON: {e}", path.display(), record.generation))?;
-                    restored_log.push(v);
+                    restored_log.push(wal::decode_record(path, record)?);
                 }
                 wmetrics.replayed_records.inc(replay.records.len() as u64);
                 wmetrics.truncated_bytes.inc(replay.truncated_bytes);
-                wmetrics.records.set(wal.record_count().min(i64::MAX as u64) as i64);
-                wmetrics.bytes.set(wal.len_bytes().min(i64::MAX as u64) as i64);
+                wal::observe_size(&wal, &wmetrics);
                 if !restored_log.is_empty() || replay.truncated_bytes > 0 {
                     eprintln!(
                         "fleet: restored {} delta(s) from {} (base generation {restored_base}, {} torn byte(s) truncated)",
@@ -1190,10 +1060,10 @@ pub fn run_fleet(opts: FleetOptions) -> Result<FleetSummary, String> {
     for (_rid, deliver) in fleet.pending.drain() {
         match deliver {
             Deliver::Client { id, sink, .. } => {
-                answer_client(&fleet, &sink, error_value("shedding", "fleet drained before this request was answered"), id);
+                reject_client(&fleet, &sink, Reject::new(id, ErrorCode::Shedding, "fleet drained before this request was answered"));
             }
             Deliver::Internal(tx) => {
-                let _ = tx.send(error_value("shedding", "fleet drained"));
+                let _ = tx.send(Err("fleet drained".into()));
             }
         }
     }

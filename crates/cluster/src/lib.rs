@@ -1,4 +1,5 @@
-//! Fault-tolerant coordination over a replicated fleet of `aeetes serve`
+//! The NDJSON wire layer shared by `aeetes serve` and `aeetes fleet`, and
+//! fault-tolerant coordination over a replicated fleet of `aeetes serve`
 //! processes.
 //!
 //! The coordinator ([`run_fleet`]) speaks the same NDJSON protocol as a
@@ -28,42 +29,21 @@
 //!   from disk, and a [`Compactor`] folds a grown log into a fresh engine
 //!   artifact so both the log and the in-memory delta list stay bounded.
 //!
-//! The crate intentionally does not depend on `aeetes-cli`: it speaks the
-//! wire protocol directly (the CLI depends on this crate for the `fleet`
-//! subcommand, so the dependency can only point this way). The one piece
-//! of protocol knowledge duplicated here is [`retryable_code`]; a test on
-//! the CLI side pins it against `protocol::ErrorCode::retryable` so the
-//! two can never drift silently.
+//! The crate is also the lowest one both ends of the protocol reach, so
+//! it owns the wire layer they share ([`wire`]: line framing in and out,
+//! the error taxonomy) and the delta-log commit and decode steps ([`wal`]).
+//! `aeetes serve` and this coordinator frame, write, and classify lines
+//! through the same code, so a replica's answer means the same thing to
+//! the fleet as to a direct client.
 
 mod backoff;
 mod coordinator;
 mod pending;
 mod replica;
+pub mod wal;
+pub mod wire;
 
 pub use backoff::Backoff;
 pub use coordinator::{run_fleet, Compactor, FleetOptions, FleetSummary};
 pub use pending::{FailOutcome, PendingTable};
 pub use replica::{Replica, ReplicaSpec};
-
-/// Whether an error code on the wire marks a failed attempt as safe to
-/// retry on another replica. Mirrors `ErrorCode::retryable` in the CLI's
-/// protocol module (pinned by a cross-crate test there): `timeout` and
-/// `shedding` are transient per-replica conditions; everything else would
-/// fail identically anywhere.
-pub fn retryable_code(code: &str) -> bool {
-    matches!(code, "timeout" | "shedding")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retryable_codes_are_exactly_timeout_and_shedding() {
-        assert!(retryable_code("timeout"));
-        assert!(retryable_code("shedding"));
-        for code in ["bad_request", "too_large", "internal", "conflict", "", "reset"] {
-            assert!(!retryable_code(code), "{code} must not be retried");
-        }
-    }
-}

@@ -12,9 +12,11 @@
 //! atomic state getters, so a dead replica never blocks a dispatch for
 //! longer than one failed write.
 
+use crate::coordinator::LINE_CAP;
+use crate::wire::{write_line, LineRead, LineReader};
 use serde_json::Value;
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -103,11 +105,7 @@ impl Replica {
     pub fn send_line(&self, line: &str) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let Some(writer) = state.writer.as_mut() else { return false };
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok()
+        write_line(writer, line).is_ok()
     }
 
     pub fn track_inflight(&self, rid: u64) {
@@ -292,24 +290,21 @@ impl Replica {
 
 /// One synchronous request/response on a not-yet-attached connection
 /// (handshake and resync replay). The stream's read timeout bounds the
-/// wait; blank or non-JSON lines are skipped.
+/// wait; blank lines are skipped, and a response over the fleet's line cap
+/// fails the exchange.
 pub fn sync_request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Result<Value, String> {
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("write: {e}"))?;
+    write_line(writer, line).map_err(|e| format!("write: {e}"))?;
+    let mut lines = LineReader::new(LINE_CAP);
     loop {
-        let mut response = String::new();
-        match reader.read_line(&mut response) {
-            Ok(0) => return Err("connection closed mid-handshake".into()),
-            Ok(_) => {
-                if response.trim().is_empty() {
-                    continue;
-                }
-                return serde_json::from_str(&response).map_err(|e| format!("bad response line: {e}"));
-            }
-            Err(e) => return Err(format!("read: {e}")),
+        let response = match lines.next_line(reader).map_err(|e| format!("read: {e}"))? {
+            LineRead::Eof => return Err("connection closed mid-handshake".into()),
+            LineRead::Oversized => return Err(format!("response line exceeds {LINE_CAP} bytes")),
+            LineRead::Line(bytes) => bytes,
+        };
+        let text = std::str::from_utf8(&response).map_err(|e| format!("bad response line: {e}"))?;
+        if text.trim().is_empty() {
+            continue;
         }
+        return serde_json::from_str(text).map_err(|e| format!("bad response line: {e}"));
     }
 }

@@ -93,6 +93,7 @@ mod tests {
 
     #[test]
     fn replace_creates_and_overwrites() {
+        let _serial = failpoint::serial();
         let path = tmp_path("basic");
         atomic_replace(&path, b"one").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"one");
@@ -104,6 +105,7 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn injected_faults_leave_target_intact() {
+        let _serial = failpoint::serial();
         let path = tmp_path("faults");
         atomic_replace(&path, b"stable").unwrap();
         for (site, action) in [

@@ -165,13 +165,24 @@ pub(crate) fn io_site(site: &str) -> std::io::Result<()> {
     }
 }
 
+/// Serializes the lib tests that arm failpoints or pass through a site
+/// another test arms: the registry is process-global and tests run
+/// concurrently. The guard starts from an empty registry.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    clear();
+    guard
+}
+
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
     use super::*;
 
     #[test]
     fn configure_set_and_hit() {
-        clear();
+        let _serial = serial();
         configure("t.a=error;t.b=short:5@2").unwrap();
         assert_eq!(hit("t.a"), Some(FailAction::Error));
         assert_eq!(hit("t.a"), Some(FailAction::Error), "no @k means every hit");
@@ -185,6 +196,7 @@ mod tests {
 
     #[test]
     fn bad_specs_rejected() {
+        let _serial = serial();
         assert!(configure("nosign").is_err());
         assert!(configure("s=bogus").is_err());
         assert!(configure("s=short:x").is_err());
